@@ -3,12 +3,12 @@
 //! pre-aggregating batch overrides (Countsketch, Count-Min, CSSS, the
 //! α heavy hitters, the general α L1 estimator, the turnstile support
 //! sampler) plus one default-impl control (the exact frequency vector) —
-//! and the `ingest_sharded` section: the batched sequential pass versus the
-//! `ShardedRunner` at 4 worker threads on the mergeable hot families —
+//! and the `ingest_sharded` section: the batched sequential pass versus a
+//! one-shot parallel run — a 4-worker `StreamService` whose single epoch
+//! covers the stream — on the mergeable hot families —
 //! and the `ingest_service` section: the same stream through the
-//! `StreamService` (4 workers, 4 epoch snapshots) versus the raw
-//! `ShardedRunner`, measuring the overhead of epoch cuts (clone + merge +
-//! report) over one-shot sharded ingestion —
+//! `StreamService` with 4 epoch snapshots, compared against the one-epoch
+//! row to isolate the cost of epoch cuts (clone + merge + report) —
 //! and the `hash` section: the batched hash engine's kernels in isolation
 //! (scalar vs chunk-at-a-time polynomial evaluation, Lemire vs modulus
 //! range reduction) —
@@ -41,8 +41,8 @@ use bd_hash::{simd, M61Elem};
 use bd_stream::gen::BoundedDeletionGen;
 use bd_stream::{
     merge_tree, sketch_from_bytes, sketch_to_bytes, DynSketch, OverflowPolicy, QueryClient,
-    QueryServer, QueryView, Request, ServiceConfig, ShardedRunner, SketchFamily, SketchSpec,
-    SnapshotStore, StreamBatch, StreamRunner, StreamService, WalPolicy,
+    QueryServer, QueryView, Request, ServiceConfig, SketchFamily, SketchSpec, SnapshotStore,
+    StreamBatch, StreamRunner, StreamService, WalPolicy,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -85,36 +85,22 @@ fn ingest(name: &str, stream: &StreamBatch, runner: StreamRunner, spec: SketchSp
     })
 }
 
-/// Time a full `ShardedRunner` pass (shard, parallel ingest, merge) per
-/// sample.
-fn ingest_sharded(
-    name: &str,
-    stream: &StreamBatch,
-    threads: usize,
-    spec: SketchSpec,
-) -> Measurement {
-    micro::sample(name, stream.len() as u64, SAMPLES, WARMUP, |s| {
-        let run = ShardedRunner::new(threads)
-            .run(registry(), &spec.with_seed(s as u64), stream)
-            .expect("bench spec must be mergeable");
-        std::hint::black_box(run.report().space_bits());
-    })
-}
-
 /// Time a full `StreamService` pass (round-robin dispatch, epoch cuts with
-/// clone + merge snapshots, final cut) per sample.
+/// clone + merge snapshots, final cut) per sample, asserting it cut
+/// `epochs` snapshots.
 fn ingest_service(
     name: &str,
     stream: &StreamBatch,
     cfg: ServiceConfig,
     spec: SketchSpec,
+    epochs: usize,
 ) -> Measurement {
     micro::sample(name, stream.len() as u64, SAMPLES, WARMUP, |s| {
         let mut svc = StreamService::start(registry(), &spec.with_seed(s as u64), cfg)
             .expect("bench spec must be servable");
         let mut snaps = svc.ingest(&stream.updates).expect("service ingest");
         snaps.extend(svc.finish().expect("final cut"));
-        assert!(snaps.len() >= 4, "expected ≥4 epoch snapshots");
+        assert_eq!(snaps.len(), epochs, "epoch snapshots");
         std::hint::black_box(snaps.iter().map(|sn| sn.report.space_bits()).sum::<u64>());
     })
 }
@@ -177,31 +163,38 @@ fn main() {
         base.with_family(SketchFamily::Exact),
     );
 
-    // Sharded ingestion: batched sequential pass vs the ShardedRunner at
-    // `SHARD_THREADS` workers, on mergeable families spanning the cost
-    // spectrum (cheap control, linear table, sampling compound).
+    // Sharded ingestion: batched sequential pass vs a one-shot parallel
+    // run at `SHARD_THREADS` workers — a service whose one epoch covers the
+    // stream — on mergeable families spanning the cost spectrum (cheap
+    // control, linear table, sampling compound).
     const SHARD_THREADS: usize = 4;
     let cores = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
     println!(
-        "\nsharded ingestion — ShardedRunner at {SHARD_THREADS} threads \
+        "\nsharded ingestion — one-epoch StreamService at {SHARD_THREADS} workers \
          ({cores} core(s) available)\n"
     );
+    let one_epoch_cfg = ServiceConfig::default()
+        .with_threads(SHARD_THREADS)
+        .with_epoch(stream.len() as u64);
     let mut shard_pairs: Vec<(String, f64)> = Vec::new();
+    let mut one_epoch_rates: Vec<(String, f64)> = Vec::new();
     let mut compare_sharded = |label: &str, spec: SketchSpec| {
         let seq = ingest(&format!("ingest_sharded/{label}/seq"), &stream, bat, spec);
-        let shr = ingest_sharded(
+        let shr = ingest_service(
             &format!("ingest_sharded/{label}/t{SHARD_THREADS}"),
             &stream,
-            SHARD_THREADS,
+            one_epoch_cfg,
             spec,
+            1,
         );
         micro::report(&seq);
         micro::report(&shr);
         let speedup = shr.ops_per_sec / seq.ops_per_sec;
         println!("  {label:<44} {speedup:>10.2}x sharded speedup\n");
         shard_pairs.push((label.to_string(), speedup));
+        one_epoch_rates.push((label.to_string(), shr.ops_per_sec));
         results.push(seq);
         results.push(shr);
     };
@@ -214,11 +207,9 @@ fn main() {
     );
 
     // Service ingestion: the StreamService (4 workers, epoch snapshots with
-    // clone + merge every quarter of the stream) vs the raw ShardedRunner
-    // one-shot pass — the ratio is the *snapshot overhead* of serving.
-    let service_cfg = ServiceConfig::default()
-        .with_epoch(stream.len() as u64 / 4)
-        .with_threads(SHARD_THREADS);
+    // clone + merge every quarter of the stream) vs the one-epoch `t4` row
+    // above — the ratio is the cost of the three extra epoch cuts.
+    let service_cfg = one_epoch_cfg.with_epoch(stream.len() as u64 / 4);
     println!(
         "\nservice ingestion — StreamService at {SHARD_THREADS} workers, \
          epoch = {} updates (4 scheduled snapshots)\n",
@@ -226,24 +217,22 @@ fn main() {
     );
     let mut service_pairs: Vec<(String, f64)> = Vec::new();
     let mut compare_service = |label: &str, spec: SketchSpec| {
-        let raw = ingest_sharded(
-            &format!("ingest_service/{label}/shard_t{SHARD_THREADS}"),
-            &stream,
-            SHARD_THREADS,
-            spec,
-        );
         let svc = ingest_service(
             &format!("ingest_service/{label}/service_t{SHARD_THREADS}"),
             &stream,
             service_cfg,
             spec,
+            4,
         );
-        micro::report(&raw);
         micro::report(&svc);
-        let overhead = raw.ops_per_sec / svc.ops_per_sec;
-        println!("  {label:<44} {overhead:>10.2}x snapshot overhead\n");
+        let one_epoch = one_epoch_rates
+            .iter()
+            .find(|(l, _)| l == label)
+            .expect("every service family has a one-epoch row")
+            .1;
+        let overhead = one_epoch / svc.ops_per_sec;
+        println!("  {label:<44} {overhead:>10.2}x epoch-cut overhead\n");
         service_pairs.push((label.to_string(), overhead));
-        results.push(raw);
         results.push(svc);
     };
     compare_service("exact", base.with_family(SketchFamily::Exact));
@@ -386,10 +375,10 @@ fn main() {
     ));
 
     // Merge fold microsection: the serial left-to-right `merge_dyn` fold vs
-    // the pairwise tree fold both engines now run, over identically-built
-    // ingested parts (cloned per sample, so each row is clone + fold — the
-    // clone cost is common to both). Tree gains track available cores; the
-    // rows exist so fold cost is a measured quantity on any machine.
+    // the inline pairwise tree fold the service runs at every epoch cut,
+    // over identically-built ingested parts (cloned per sample, so each row
+    // is clone + fold — the clone cost is common to both). Both folds do
+    // the same `W − 1` merges; the rows keep fold cost a measured quantity.
     const MERGE_PARTS: usize = 8;
     println!(
         "\nmerge — serial fold vs pairwise tree fold, {MERGE_PARTS} countsketch parts \
@@ -442,7 +431,7 @@ fn main() {
 
     // Query engine microsection: scalar vs batched point queries through a
     // `QueryEngine` over a published epoch snapshot (the read side of
-    // `DESIGN.md §11`), plus the wait-free `SnapshotHandle::latest` clone
+    // `DESIGN.md §11`), plus the `SnapshotHandle::latest` clone
     // itself. `scripts/bench_compare.sh` asserts the section exists.
     const QUERY_K: usize = 1024;
     println!("\nquery — scalar vs batched point queries on a published snapshot, k = {QUERY_K}\n");
@@ -493,8 +482,8 @@ fn main() {
     };
     compare_query("countsketch", base);
     compare_query("csss", base.with_family(SketchFamily::Csss).with_k(16));
-    // The publication read path in isolation: one wait-free `latest()` —
-    // two SeqCst RMWs, one load, one Arc strong-count bump — per op.
+    // The publication read path in isolation: one `latest()` — lock the
+    // hub's mutex, bump the Arc strong count, unlock — per op.
     let handle = final_handle.expect("at least one query family ran");
     let m_latest = micro::sample("query/latest_clone", 1 << 16, SAMPLES, WARMUP, |_| {
         for _ in 0..(1 << 16) {

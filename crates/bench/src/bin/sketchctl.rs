@@ -5,9 +5,6 @@
 //! sketchctl workloads                     list the workload grammar
 //! sketchctl parse  <spec>                 normalize/validate a spec string
 //! sketchctl run    <spec> [workload]      build, ingest, query, score
-//! sketchctl shard  [--threads N] <spec> [workload]
-//!                                         threaded sharded ingest + merge
-//!                                         (mergeable families; default N=4)
 //! sketchctl serve  --spec <spec> [--epoch N] [--threads N] [--chunk N]
 //!                  [--depth N] [--overflow block|drop]
 //!                  [--service service:epoch=..,threads=..,depth=..,overflow=..]
@@ -41,8 +38,6 @@
 //! cargo run --release -p bd-bench --bin sketchctl -- \
 //!     run csss:n=2^16,eps=0.05,alpha=8,seed=42 bounded:n=2^16,mass=400000,alpha=8
 //! cargo run --release -p bd-bench --bin sketchctl -- \
-//!     shard --threads 8 countsketch:n=2^16,eps=0.1 bounded:n=2^16,mass=400000,alpha=4
-//! cargo run --release -p bd-bench --bin sketchctl -- \
 //!     serve --spec csss:n=1e6,eps=0.05,alpha=8,seed=42 --epoch 100000 --threads 4
 //! ```
 //!
@@ -50,22 +45,17 @@
 //! every capability the family's registry descriptor advertises, scoring
 //! each answer against the exact `FrequencyVector` ground truth.
 //!
-//! `shard` drives the real parallel engine (`bd_stream::ShardedRunner`):
-//! one identically-seeded sketch per worker thread, contiguous stream
-//! shards, a `merge_dyn` fold — then verifies the merged sketch against a
-//! single-pass build (bit-identical for `merge_bitwise` families,
-//! ground-truth scored otherwise; `DESIGN.md §7` spells out the contract).
-//!
-//! `serve` drives the serving engine (`bd_stream::StreamService`): worker
-//! threads fed round-robin from the generated workload, an immutable merged
-//! snapshot + `EpochReport` every epoch — and verifies each snapshot's
+//! `serve` drives the parallel serving engine (`bd_stream::StreamService`):
+//! one identically-seeded sketch per worker thread, fed round-robin from
+//! the generated workload, an immutable merged snapshot + `EpochReport`
+//! every epoch — and verifies each snapshot's
 //! point/norm answers against a sequential one-shot run over the same
 //! stream prefix (bit-identical for `merge_bitwise` families, within the
 //! float-association tolerance otherwise; `DESIGN.md §8`).
 //!
 //! `serve --listen ADDR` swaps prefix verification for a live TCP query
 //! front-end (`bd_stream::QueryServer`, `DESIGN.md §11`): every epoch cut
-//! is published through the lock-free `SnapshotHub` and the workload
+//! is published through the `SnapshotHub` and the workload
 //! replays continuously (replaying a bounded-deletion stream preserves its
 //! realized α) so readers always race live ingestion. The process prints
 //! `listening on <addr>` (ephemeral ports resolve here) and runs until a
@@ -81,8 +71,8 @@ use bd_bench::workload;
 use bd_bench::{fmt_bits, registry, Table};
 use bd_stream::{
     DynSketch, EpochReport, ErrorCode, FrequencyVector, OverflowPolicy, QueryClient, QueryServer,
-    Request, Response, SampleOutcome, ServiceConfig, ShardedRunner, SketchSpec, SnapshotStore,
-    StreamBatch, StreamRunner, StreamService, WalPolicy,
+    Request, Response, SampleOutcome, ServiceConfig, SketchSpec, SnapshotStore, StreamBatch,
+    StreamRunner, StreamService, WalPolicy,
 };
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -91,7 +81,6 @@ use std::time::{Duration, Instant};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sketchctl <families|workloads|parse <spec>|run <spec> [workload]|\
-         shard [--threads N] <spec> [workload]|\
          serve --spec <spec> [--epoch N] [--threads N] [--chunk N] \
          [--depth N] [--overflow block|drop] [--service <cfg>] \
          [--persist DIR] [--recover] [--wal off|batch|epoch] [--retain N] \
@@ -115,30 +104,6 @@ fn main() -> ExitCode {
             Some(s) => run(s, args.get(2).map(String::as_str)),
             None => usage(),
         },
-        Some("shard") => {
-            // `--threads N` may appear anywhere after the subcommand; the
-            // remaining positionals are `<spec> [workload]`.
-            let mut threads = 4usize;
-            let mut positional: Vec<&str> = Vec::new();
-            let mut rest = args[1..].iter();
-            while let Some(arg) = rest.next() {
-                if arg == "--threads" || arg == "-t" {
-                    match rest.next().and_then(|v| v.parse::<usize>().ok()) {
-                        Some(t) if t >= 1 => threads = t,
-                        _ => {
-                            eprintln!("--threads expects a positive integer");
-                            return usage();
-                        }
-                    }
-                } else {
-                    positional.push(arg);
-                }
-            }
-            match positional.first() {
-                Some(s) => shard(s, positional.get(1).copied(), threads),
-                None => usage(),
-            }
-        }
         Some("serve") => {
             // `--service` carries the spec-grammar config string; the
             // individual flags override its fields regardless of argument
@@ -462,106 +427,6 @@ fn run(spec_str: &str, wl: Option<&str>) -> ExitCode {
         fmt_bits(report.space_bits())
     );
     score(sk.as_ref(), &truth, spec.epsilon);
-    ExitCode::SUCCESS
-}
-
-/// Drive the threaded `ShardedRunner` (one identically-seeded sketch per
-/// worker, contiguous shards, `merge_dyn` fold) and verify the merged
-/// sketch agrees with a single-pass build.
-fn shard(spec_str: &str, wl: Option<&str>, threads: usize) -> ExitCode {
-    let (spec, stream) = match load(spec_str, wl) {
-        Ok(x) => x,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let reg = registry();
-    let merge_bitwise = match reg.info(spec.family) {
-        Some(info) if info.caps.mergeable => info.caps.merge_bitwise,
-        Some(info) => {
-            eprintln!(
-                "family `{}` is not mergeable (caps: {})",
-                info.family, info.caps
-            );
-            return ExitCode::FAILURE;
-        }
-        None => {
-            eprintln!("family `{}` is not registered", spec.family);
-            return ExitCode::FAILURE;
-        }
-    };
-    if stream.updates.is_empty() {
-        eprintln!("workload generated no updates — nothing to shard");
-        return ExitCode::FAILURE;
-    }
-    let threads = threads.clamp(1, 64);
-    let sharded = match ShardedRunner::new(threads).run(reg, &spec, &stream) {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("sharded run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let runner = StreamRunner::new();
-    let mut single = reg.build(&spec).expect("validated above");
-    let single_report = runner.run(&mut *single, &stream);
-    let truth = FrequencyVector::from_stream(&stream);
-    let merged = &sharded.sketch;
-    let aggregate = sharded.report();
-    println!(
-        "spec     {spec}\nsharded  {} worker threads over {} updates; merged space {}",
-        sharded.shard_count(),
-        stream.len(),
-        fmt_bits(merged.space_bits())
-    );
-    println!(
-        "ingest   sharded {:.2} M updates/s wall ({:.1} ms, merge {:.2} ms) vs \
-         sequential {:.2} M updates/s",
-        aggregate.updates_per_sec() / 1e6,
-        sharded.elapsed.as_secs_f64() * 1e3,
-        sharded.merge_elapsed.as_secs_f64() * 1e3,
-        single_report.updates_per_sec() / 1e6
-    );
-    // Bit-identity to the single-pass sketch only holds for deterministic
-    // mergers (the `merge_bitwise` capability); sampling mergers (CSSS,
-    // the sampled vector) consume RNG draws while thinning and are only
-    // distributionally equivalent, so they are scored against ground
-    // truth instead.
-    if merge_bitwise {
-        let probe = |sk: &dyn DynSketch| -> Vec<u64> {
-            let mut out = Vec::new();
-            if let Some(p) = sk.as_point() {
-                out.extend((0..1024u64.min(stream.n)).map(|i| p.point(i).to_bits()));
-            }
-            if let Some(nm) = sk.as_norm() {
-                out.push(nm.norm_estimate().to_bits());
-            }
-            if let Some(sp) = sk.as_support() {
-                out.extend(sp.support_query());
-            }
-            out
-        };
-        let agree = probe(merged.as_ref()) == probe(single.as_ref());
-        println!(
-            "merge ≡ single-pass on query probes: {}",
-            if agree {
-                "bit-identical ✓"
-            } else {
-                "MISMATCH ✗"
-            }
-        );
-        if !agree {
-            return ExitCode::FAILURE;
-        }
-    } else {
-        println!(
-            "merge is estimate-equal (not bitwise) for `{}` — see DESIGN.md §7; \
-             scoring the merged sketch against exact ground truth below",
-            spec.family
-        );
-    }
-    score(merged.as_ref(), &truth, spec.epsilon);
     ExitCode::SUCCESS
 }
 

@@ -206,9 +206,8 @@ impl Mergeable for AlphaHeavyHitters {
             _ => unreachable!("variant match asserted above"),
         }
         let csss = &self.csss;
-        for item in other.candidates.iter() {
-            self.candidates.offer(item, |i| csss.estimate(i));
-        }
+        self.candidates
+            .offer_set(&other.candidates, |i| csss.estimate(i));
     }
 }
 

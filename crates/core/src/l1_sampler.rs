@@ -211,9 +211,8 @@ impl Mergeable for AlphaL1SamplerInstance {
         self.r += other.r;
         self.q += other.q;
         let cs = &self.cs1;
-        for item in other.candidates.iter() {
-            self.candidates.offer(item, |i| cs.estimate(i));
-        }
+        self.candidates
+            .offer_set(&other.candidates, |i| cs.estimate(i));
     }
 }
 

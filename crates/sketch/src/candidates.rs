@@ -85,17 +85,33 @@ impl CandidateSet {
         self.items.extend(self.scored.iter().map(|&(i, _)| i));
     }
 
+    /// Offer every item of `other`, in ascending item order, as under
+    /// [`CandidateSet::offer`]. The merge hook: a prune pass can trigger
+    /// partway through, so the order is fixed by item id rather than left
+    /// to `other`'s hasher, which differs between otherwise equal sets.
+    pub fn offer_set<F: Fn(u64) -> f64>(&mut self, other: &CandidateSet, score: F) {
+        let mut items: Vec<u64> = other.items.iter().copied().collect();
+        items.sort_unstable();
+        for item in items {
+            self.offer(item, &score);
+        }
+    }
+
     /// The current candidates (unordered).
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.items.iter().copied()
     }
 
-    /// The candidate maximizing `|score|`, if any.
+    /// The candidate maximizing `|score|`, if any; ties go to the smallest
+    /// item id, as in [`CandidateSet::top_k`].
     pub fn argmax<F: Fn(u64) -> f64>(&self, score: F) -> Option<u64> {
-        self.items
-            .iter()
-            .copied()
-            .max_by(|&a, &b| score(a).abs().partial_cmp(&score(b).abs()).unwrap())
+        self.items.iter().copied().max_by(|&a, &b| {
+            score(a)
+                .abs()
+                .partial_cmp(&score(b).abs())
+                .unwrap()
+                .then(b.cmp(&a))
+        })
     }
 
     /// The top `k` candidates by `|score|`, descending.
@@ -181,6 +197,17 @@ mod tests {
         let top = c.top_k(2, score);
         assert_eq!(top.len(), 2);
         assert!(top[0].1.abs() >= top[1].1.abs());
+    }
+
+    #[test]
+    fn argmax_breaks_ties_by_smallest_item() {
+        let mut c = CandidateSet::new(64);
+        let score = |i: u64| if i.is_multiple_of(2) { 5.0 } else { -5.0 };
+        for i in (10..40u64).rev() {
+            c.offer(i, score);
+        }
+        assert_eq!(c.argmax(score), Some(10));
+        assert_eq!(c.top_k(1, score)[0].0, 10);
     }
 
     #[test]

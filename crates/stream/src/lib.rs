@@ -30,19 +30,17 @@
 //! * [`runner`] — [`StreamRunner`](runner::StreamRunner) and
 //!   [`RunReport`](runner::RunReport);
 //! * [`merge`] — [`merge_tree`](merge::merge_tree), the deterministic
-//!   pairwise parallel fold both engines use to combine worker sketches
-//!   (`⌈log₂ W⌉` rounds instead of `W − 1` serial merges), with per-round
-//!   accounting in [`MergeReport`](merge::MergeReport);
-//! * [`sharded`] — [`ShardedRunner`](sharded::ShardedRunner), the parallel
-//!   shard → sketch → merge ingestion engine over registry-built sketches;
-//! * [`service`] — [`StreamService`](service::StreamService), the long-lived
-//!   epoch-snapshot serving engine over an unbounded update source (worker
+//!   pairwise fold the service uses to combine worker sketches, with
+//!   per-round accounting in [`MergeReport`](merge::MergeReport);
+//! * [`service`] — [`StreamService`](service::StreamService), the parallel
+//!   ingestion and serving engine over an unbounded update source (worker
 //!   threads fed round-robin, immutable merged [`Snapshot`](service::Snapshot)s
-//!   every epoch while ingestion continues);
-//! * [`query`] — the concurrent read side: lock-free snapshot publication
+//!   every epoch while ingestion continues; a one-shot parallel run is one
+//!   epoch covering the whole stream);
+//! * [`query`] — the concurrent read side: snapshot publication
 //!   ([`SnapshotHub`](query::SnapshotHub) /
-//!   [`SnapshotHandle`](query::SnapshotHandle), wait-free
-//!   [`latest`](query::SnapshotHandle::latest)) and the batched
+//!   [`SnapshotHandle`](query::SnapshotHandle), one mutex-guarded `Arc`
+//!   clone per [`latest`](query::SnapshotHandle::latest)) and the batched
 //!   [`QueryEngine`](query::QueryEngine) over a pinned epoch
 //!   [`QueryView`](query::QueryView);
 //! * [`wire`] — the `sketchctl serve` protocol: length-prefixed binary
@@ -67,7 +65,6 @@ pub mod query;
 pub mod registry;
 pub mod runner;
 pub mod service;
-pub mod sharded;
 pub mod sketch;
 pub mod space;
 pub mod spec;
@@ -91,7 +88,6 @@ pub use runner::{RunReport, StreamRunner};
 pub use service::{
     EpochReport, OverflowPolicy, ServiceConfig, ServiceError, Snapshot, StreamService,
 };
-pub use sharded::{ShardedRun, ShardedRunner};
 pub use sketch::{
     aggregate_net, aggregate_signed_mass, BatchScratch, Mergeable, NormEstimate, PointQuery,
     PointQueryBatch, SampleOutcome, SampleQuery, Sketch, SupportQuery,

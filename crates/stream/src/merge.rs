@@ -1,33 +1,27 @@
-//! Parallel tree-structured merge folds — the epoch-path half of scaling
-//! with the hardware.
+//! Tree-structured merge folds: how the
+//! [`StreamService`](crate::service::StreamService) combines its worker
+//! sketches into one snapshot at every epoch cut.
 //!
-//! Both the [`ShardedRunner`](crate::sharded::ShardedRunner) and the
-//! [`StreamService`](crate::service::StreamService) used to fold their
-//! worker sketches with a *serial* left-to-right
-//! [`merge_dyn`](crate::registry::DynSketch::merge_dyn) loop — `W − 1`
-//! sequential merges, the bottleneck of the epoch path once worker counts
-//! grow. [`merge_tree`] replaces the fold with pairwise rounds: round `r`
-//! merges survivor `2i+1` into survivor `2i` (an odd last survivor passes
-//! through), every pair on its own [`std::thread::scope`] thread, so a
-//! `W`-way fold takes `⌈log₂ W⌉` rounds of concurrent merges instead of
-//! `W − 1` serial ones.
+//! [`merge_tree`] folds `W` parts in pairwise rounds: round `r` merges
+//! survivor `2i+1` into survivor `2i` (an odd last survivor passes
+//! through), so a `W`-way fold takes `⌈log₂ W⌉` rounds and `W − 1` merges.
+//! Every round runs inline on the caller's thread: on a 2-core host,
+//! threaded rounds of the same shape lost to inline rounds in 97 of 98
+//! paired runs (DESIGN.md §10).
 //!
-//! **Why the result is unchanged.** The tree *shape* is a pure function of
-//! the part indices — no work stealing, no completion-order dependence — so
-//! a fold over the same parts is deterministic regardless of thread
-//! scheduling. For `merge_bitwise` families the merge is an associative
-//! counter/row add (integer-valued, so even `f64`-backed tables re-associate
-//! exactly), which makes the tree fold bit-identical to the left-to-right
-//! fold; sampling mergers (CSSS-style thinning) consume RNG draws per merge,
-//! so the tree reaches a different — but deterministic and distributionally
+//! **Why the result is fixed.** The tree *shape* is a pure function of
+//! the part indices, so a fold over the same parts is deterministic. For
+//! `merge_bitwise` families the merge is an associative counter/row add
+//! (integer-valued, so even `f64`-backed tables re-associate exactly),
+//! which makes the tree fold bit-identical to the left-to-right fold;
+//! sampling mergers (CSSS-style thinning) consume RNG draws per merge, so
+//! the tree reaches a different — but deterministic and distributionally
 //! equivalent — state, exactly the per-family contract `DESIGN.md §7`/`§10`
-//! documents and `tests/sharded.rs` pins (tree ≡ serial: bitwise under
+//! documents and `tests/service.rs` pins (tree ≡ serial: bitwise under
 //! `merge_bitwise`, estimate-equal otherwise).
 //!
 //! Each fold reports its depth and per-round wall clock in a [`MergeReport`]
-//! (carried on [`ShardedRun`](crate::sharded::ShardedRun) and
-//! [`EpochReport`](crate::service::EpochReport)), so merge scaling is a
-//! measured quantity, not a guess.
+//! (carried on [`EpochReport`](crate::service::EpochReport)).
 
 use crate::registry::{DynSketch, RegistryError};
 use std::time::{Duration, Instant};
@@ -63,24 +57,17 @@ impl MergeReport {
 
 /// Fold `parts` into one sketch with a deterministic pairwise tree.
 ///
-/// Round structure: parts `(0,1), (2,3), …` merge concurrently (right into
-/// left); an unpaired last part survives to the next round unchanged;
-/// repeat until one sketch remains. Part 0's sketch is always the final
-/// survivor — the same identity the serial fold produced. Threads are only
-/// an execution vehicle: single-pair rounds run inline (no spawn for the
-/// last round of every fold, or for 2-way folds at all), and on machines
-/// without parallelism to offer (`available_parallelism() == 1`) every
-/// round runs inline — same tree, same merges, same result, no spawn cost.
+/// Round structure: parts `(0,1), (2,3), …` merge (right into left); an
+/// unpaired last part survives to the next round unchanged; repeat until
+/// one sketch remains. Part 0's sketch is always the final survivor — the
+/// same identity the serial fold produced.
 ///
 /// # Panics
-/// Panics if `parts` is empty, or if a merge worker panics.
+/// Panics if `parts` is empty.
 pub fn merge_tree(
     mut parts: Vec<Box<dyn DynSketch>>,
 ) -> Result<(Box<dyn DynSketch>, MergeReport), RegistryError> {
     assert!(!parts.is_empty(), "merge_tree needs at least one part");
-    let parallel = std::thread::available_parallelism()
-        .map(|p| p.get() > 1)
-        .unwrap_or(false);
     let mut report = MergeReport {
         parts: parts.len(),
         ..Default::default()
@@ -88,39 +75,15 @@ pub fn merge_tree(
     let start = Instant::now();
     while parts.len() > 1 {
         let round_start = Instant::now();
-        let mut pairs: Vec<(Box<dyn DynSketch>, Box<dyn DynSketch>)> =
-            Vec::with_capacity(parts.len() / 2);
-        let mut odd = None;
-        let mut it = parts.drain(..);
-        while let Some(left) = it.next() {
-            match it.next() {
-                Some(right) => pairs.push((left, right)),
-                None => odd = Some(left),
+        let mut survivors = Vec::with_capacity(parts.len().div_ceil(2));
+        let mut it = parts.into_iter();
+        while let Some(mut left) = it.next() {
+            if let Some(right) = it.next() {
+                left.merge_dyn(right.as_ref())?;
             }
+            survivors.push(left);
         }
-        drop(it);
-        let merged: Vec<Result<Box<dyn DynSketch>, RegistryError>> =
-            if pairs.len() == 1 || !parallel {
-                pairs
-                    .into_iter()
-                    .map(|(mut a, b)| a.merge_dyn(b.as_ref()).map(|()| a))
-                    .collect()
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = pairs
-                        .into_iter()
-                        .map(|(mut a, b)| scope.spawn(move || a.merge_dyn(b.as_ref()).map(|()| a)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("merge worker panicked"))
-                        .collect()
-                })
-            };
-        for m in merged {
-            parts.push(m?);
-        }
-        parts.extend(odd);
+        parts = survivors;
         if report.depth < MAX_ROUNDS {
             report.rounds[report.depth] = round_start.elapsed();
         }

@@ -6,7 +6,7 @@
 //!
 //! One nonblocking accept loop (polling a stop flag between accepts), one
 //! thread per connection. Each connection thread answers requests through
-//! the wait-free [`SnapshotHandle::latest`] path, so any number of
+//! the [`SnapshotHandle::latest`] path, so any number of
 //! connections query concurrently while the ingest thread keeps cutting
 //! epochs — the server never touches the service, only the handle.
 //!

@@ -1,17 +1,16 @@
-//! The concurrent read side: lock-free snapshot publication and the batched
-//! query engine.
+//! The concurrent read side: snapshot publication and the batched query
+//! engine.
 //!
 //! The [`StreamService`](crate::service::StreamService) produces immutable
 //! epoch [`Snapshot`]s while its workers keep ingesting; this module is how
-//! any number of reader threads *consume* them without ever blocking the
-//! write path (or each other):
+//! any number of reader threads *consume* them, holding the one lock they
+//! share with the write path for a single `Arc` clone or swap:
 //!
 //! * [`SnapshotHub`] — the writer side. The service publishes each epoch's
-//!   merged snapshot into an atomically swapped `Arc` cell.
+//!   merged snapshot into a shared `Mutex<Option<Arc<Snapshot>>>` cell.
 //! * [`SnapshotHandle`] — the reader side, cheaply cloneable and shareable
-//!   across threads. [`SnapshotHandle::latest`] is **wait-free**: one
-//!   `fetch_add`, one pointer load, one refcount increment, one `fetch_sub`
-//!   — no locks, no spinning, no waiting on the writer.
+//!   across threads. [`SnapshotHandle::latest`] locks the cell just long
+//!   enough to clone the `Arc`.
 //! * [`QueryView`] — one pinned epoch: an `Arc<Snapshot>` a reader holds for
 //!   as long as it wants. Every answer derived from one view is
 //!   epoch-consistent (the snapshot is immutable and was merged *before*
@@ -22,125 +21,24 @@
 //!   it, scalar fallback elsewhere), norms, support, and a threshold
 //!   heavy-hitters scan, all driven by the registry's capability views.
 //!
-//! ## Why the publication cell is sound
-//!
-//! `std` has no `ArcSwap`, so the cell is built from an `AtomicPtr` (the
-//! published `Arc`'s raw pointer), an in-flight reader counter, and a
-//! graveyard of retired pointers awaiting reclamation; every atomic op uses
-//! `SeqCst`, so all of them lie on one total order:
-//!
-//! * **Readers** bump the counter, load the pointer, clone the `Arc`
-//!   ([`Arc::increment_strong_count`]), and drop the counter. They never
-//!   take the graveyard lock.
-//! * **The writer** swaps the new pointer in, pushes the old pointer onto
-//!   the graveyard, and reclaims the graveyard only when it observes the
-//!   reader counter at zero. In the `SeqCst` total order, any reader that
-//!   loaded a *retired* pointer performed its counter increment before the
-//!   writer's swap (otherwise its load would have returned the new
-//!   pointer), so a zero counter after the swap proves every such reader
-//!   has already finished its refcount increment — the retired `Arc` count
-//!   can be released without racing a reader mid-clone. If readers are
-//!   always in flight, retired pointers simply wait; they are reclaimed by
-//!   a later publish or by the cell's `Drop` (which runs when the last
-//!   handle is gone, hence with no readers at all).
-//!
-//! The writer never waits on readers and readers never wait on the writer:
-//! publication is a pointer swap, reclamation is deferred. DESIGN.md §11
-//! spells out the full contract.
+//! The retired `Arc` is dropped after the guard is released, so no reader
+//! ever waits on a snapshot's destructor. A poisoned lock is recovered,
+//! never propagated: the cell holds no invariant a panic could break.
+//! DESIGN.md §11 gives the measured cost of the lock.
 
 use crate::service::{EpochReport, Snapshot};
 use crate::update::Item;
 use std::fmt;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// The lock-free publication cell shared by one hub and its handles.
-struct Cell {
-    /// Raw pointer of the currently published `Arc<Snapshot>` (null before
-    /// the first publish). The cell owns one strong count for it.
-    ptr: AtomicPtr<Snapshot>,
-    /// Readers currently between their `fetch_add` and `fetch_sub` — i.e.
-    /// possibly holding a just-loaded pointer whose refcount bump is still
-    /// in flight.
-    readers: AtomicUsize,
-    /// Retired pointers (each owning one strong count) awaiting reader
-    /// quiescence. Writer-side only; readers never touch it.
-    graveyard: Mutex<Vec<*const Snapshot>>,
-}
+/// The publication cell shared by one hub and its handles: the newest
+/// published snapshot, `None` before the first publish.
+type Cell = Mutex<Option<Arc<Snapshot>>>;
 
-// The raw pointers are owned strong counts of `Arc<Snapshot>`s, and
-// `Snapshot` is `Send + Sync` (its sketch is `dyn DynSketch`, whose
-// supertraits include both).
-unsafe impl Send for Cell {}
-unsafe impl Sync for Cell {}
-
-impl Cell {
-    fn empty() -> Self {
-        Cell {
-            ptr: AtomicPtr::new(std::ptr::null_mut()),
-            readers: AtomicUsize::new(0),
-            graveyard: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Wait-free reader load: clone the published `Arc`, or `None` before
-    /// the first publish.
-    fn load(&self) -> Option<Arc<Snapshot>> {
-        self.readers.fetch_add(1, SeqCst);
-        let p = self.ptr.load(SeqCst);
-        let snap = if p.is_null() {
-            None
-        } else {
-            // Safety: `p` came from `Arc::into_raw` and its strong count is
-            // still owned by the cell — either as the live pointer or as a
-            // graveyard entry that cannot be reclaimed while `readers > 0`
-            // (the writer checks quiescence only after our `fetch_add` is
-            // visible in the SeqCst total order, see the module docs).
-            unsafe {
-                Arc::increment_strong_count(p);
-                Some(Arc::from_raw(p as *const Snapshot))
-            }
-        };
-        self.readers.fetch_sub(1, SeqCst);
-        snap
-    }
-
-    /// Publish a new snapshot and opportunistically reclaim retired ones.
-    fn store(&self, snap: Arc<Snapshot>) {
-        let fresh = Arc::into_raw(snap) as *mut Snapshot;
-        let old = self.ptr.swap(fresh, SeqCst);
-        let mut grave = self.graveyard.lock().expect("snapshot graveyard poisoned");
-        if !old.is_null() {
-            grave.push(old as *const Snapshot);
-        }
-        // Quiescence check: zero in-flight readers after the swap means no
-        // reader can still be mid-clone on a retired pointer.
-        if self.readers.load(SeqCst) == 0 {
-            for p in grave.drain(..) {
-                // Safety: releasing the strong count `into_raw` transferred
-                // to the cell; readers that cloned it hold their own counts.
-                unsafe { drop(Arc::from_raw(p)) };
-            }
-        }
-    }
-}
-
-impl Drop for Cell {
-    fn drop(&mut self) {
-        // `&mut self`: the last hub/handle is gone, so no reader can be in
-        // flight — every retired and live count can be released directly.
-        let grave = self
-            .graveyard
-            .get_mut()
-            .expect("snapshot graveyard poisoned");
-        for p in grave.drain(..) {
-            unsafe { drop(Arc::from_raw(p)) };
-        }
-        let p = *self.ptr.get_mut();
-        if !p.is_null() {
-            unsafe { drop(Arc::from_raw(p as *const Snapshot)) };
-        }
-    }
+/// Lock the cell, recovering from poison (a panic while holding the guard
+/// cannot leave a half-written `Option`).
+fn lock(cell: &Cell) -> MutexGuard<'_, Option<Arc<Snapshot>>> {
+    cell.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The writer side of the publication cell, owned by the
@@ -155,14 +53,16 @@ impl SnapshotHub {
     /// An empty hub (no snapshot published yet).
     pub fn new() -> Self {
         SnapshotHub {
-            cell: Arc::new(Cell::empty()),
+            cell: Arc::new(Mutex::new(None)),
         }
     }
 
-    /// Atomically replace the published snapshot. Lock-free with respect to
-    /// readers; never blocks on them.
+    /// Replace the published snapshot. The previous one is released after
+    /// the lock is, so its destructor never runs inside the critical
+    /// section.
     pub fn publish(&self, snapshot: Arc<Snapshot>) {
-        self.cell.store(snapshot);
+        let retired = lock(&self.cell).replace(snapshot);
+        drop(retired);
     }
 
     /// A reader handle onto this hub's cell. Handles are cheap to clone and
@@ -197,9 +97,9 @@ pub struct SnapshotHandle {
 
 impl SnapshotHandle {
     /// The most recently published epoch snapshot, pinned as a
-    /// [`QueryView`]; `None` before the first epoch cut. Wait-free.
+    /// [`QueryView`]; `None` before the first epoch cut.
     pub fn latest(&self) -> Option<QueryView> {
-        self.cell.load().map(QueryView::from_snapshot)
+        lock(&self.cell).clone().map(QueryView::from_snapshot)
     }
 }
 
@@ -439,6 +339,7 @@ mod tests {
     use crate::space::SpaceReport;
     use crate::spec::{SketchFamily, SketchSpec};
     use crate::vector::FrequencyVector;
+    use std::sync::atomic::Ordering::SeqCst;
     use std::time::Duration;
 
     fn snap_with(stamp: usize, values: &[(Item, i64)]) -> Arc<Snapshot> {

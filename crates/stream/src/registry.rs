@@ -8,8 +8,8 @@
 //! instantiate any structure by name through [`Registry::build`] /
 //! [`Registry::build_n`] / [`Registry::build_str`] and never see a
 //! concrete constructor — `build_n` is how the
-//! [`ShardedRunner`](crate::sharded::ShardedRunner) gets one
-//! identically-seeded copy per shard worker.
+//! [`StreamService`](crate::service::StreamService) gets one
+//! identically-seeded copy per worker.
 //!
 //! This crate defines the mechanism and registers its own reference sketch
 //! (the exact [`FrequencyVector`]); `bd-sketch` and `bd-core` register their
@@ -41,8 +41,8 @@ use crate::vector::FrequencyVector;
 /// accessor defaults to "capability absent".
 ///
 /// `Send + Sync` are supertraits so built sketches can move into worker
-/// threads — the [`ShardedRunner`](crate::sharded::ShardedRunner) hands one
-/// identically-seeded copy to each shard worker — and so immutable
+/// threads — the [`StreamService`](crate::service::StreamService) hands one
+/// identically-seeded copy to each worker — and so immutable
 /// [`Snapshot`](crate::service::Snapshot)s behind an `Arc` can be queried
 /// from any number of reader threads at once (the
 /// [`query`](crate::query) front-end). Every sketch in the workspace is

@@ -31,10 +31,6 @@ pub struct RunReport {
     pub elapsed: Duration,
     /// The sketch's space report after ingestion.
     pub space: SpaceReport,
-    /// Tree-fold depth of the merge that produced the reported sketch:
-    /// `⌈log₂ shards⌉` for a sharded pass, `0` for a plain sequential run
-    /// (nothing was merged).
-    pub merge_depth: usize,
 }
 
 impl RunReport {
@@ -51,22 +47,6 @@ impl RunReport {
     /// Total space in bits (convenience over [`RunReport::space`]).
     pub fn space_bits(&self) -> u64 {
         self.space.total_bits()
-    }
-
-    /// Fold another report into this one: updates/mass add, space reports
-    /// merge, and elapsed times **add** — i.e. the combined report models
-    /// the runs happening sequentially. For shards that ran concurrently,
-    /// summed elapsed overstates wall-clock (and `updates_per_sec`
-    /// understates aggregate throughput); combine elapsed with `max`
-    /// externally if that is what you are measuring.
-    pub fn merge(self, other: RunReport) -> RunReport {
-        RunReport {
-            updates: self.updates + other.updates,
-            mass: self.mass + other.mass,
-            elapsed: self.elapsed + other.elapsed,
-            space: self.space.merge(other.space),
-            merge_depth: self.merge_depth.max(other.merge_depth),
-        }
     }
 }
 
@@ -135,7 +115,6 @@ impl StreamRunner {
             mass: updates.iter().map(|u| u.magnitude()).sum(),
             elapsed,
             space: sketch.space(),
-            merge_depth: 0,
         }
     }
 
@@ -245,16 +224,5 @@ mod tests {
         let reports = StreamRunner::new().run_each(&mut [&mut a as &mut dyn Sketch, &mut b], &s);
         assert_eq!(reports.len(), 2);
         assert_eq!(a.point(0), b.point(0));
-    }
-
-    #[test]
-    fn report_merge_accumulates() {
-        let s = stream();
-        let mut a = Exact::default();
-        let r = StreamRunner::new().run(&mut a, &s);
-        let merged = r.merge(r);
-        assert_eq!(merged.updates, 2000);
-        assert_eq!(merged.mass, 2 * s.total_mass());
-        assert!(merged.updates_per_sec() > 0.0);
     }
 }

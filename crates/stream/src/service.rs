@@ -1,14 +1,19 @@
-//! The `StreamService` epoch-snapshot serving engine.
+//! The `StreamService` epoch-snapshot engine: parallel ingestion and
+//! serving.
 //!
 //! The paper's sketches are one-shot: ingest a bounded-deletion stream,
 //! query once. A serving system faces the opposite shape — an *unbounded*
 //! update source that never stops, with queries arriving while ingestion
 //! continues. [`StreamService`] is that deployment shape, written once over
-//! the registry:
+//! the registry, and the workspace's only parallel ingestion engine: a
+//! one-shot parallel run is [`StreamService::start`], one
+//! [`StreamService::ingest`] whose single epoch covers the stream, then
+//! [`StreamService::finish`].
 //!
-//! 1. [`Registry::build_n`] builds one identically-seeded sketch per shard
-//!    worker (the [`ShardedRunner`](crate::sharded::ShardedRunner)
-//!    construction, long-lived);
+//! 1. [`Registry::build_n`] builds one identically-seeded sketch per
+//!    worker (builders are pure functions of the spec, so every copy
+//!    shares hash functions — the [`Mergeable`](crate::Mergeable)
+//!    contract);
 //! 2. each worker is a thread owning its sketch and a **bounded** command
 //!    queue ([`ServiceConfig::depth`] commands); the service dispatches
 //!    incoming update batches round-robin in [`ServiceConfig::chunk`]-sized
@@ -22,29 +27,29 @@
 //!    *cuts an epoch*: it enqueues a snapshot command behind each worker's
 //!    pending batches, collects one [`DynSketch::clone_dyn`] per worker, and
 //!    folds the clones with the deterministic pairwise tree
-//!    ([`merge_tree`](crate::merge::merge_tree), `⌈log₂ W⌉` concurrent
+//!    ([`merge_tree`](crate::merge::merge_tree), `⌈log₂ W⌉` inline
 //!    rounds; shape fixed by worker index) into an immutable [`Snapshot`] —
 //!    while the workers' own sketches keep ingesting the next epoch's
 //!    batches. Fold depth and per-round timing land in
 //!    [`EpochReport::merge`];
-//! 4. each resolved scheduled cut is *published*: atomically swapped into
-//!    the service's lock-free [`SnapshotHub`] cell, so any number of reader
-//!    threads holding [`SnapshotHandle`]s ([`StreamService::handle`]) see
-//!    the newest **complete** epoch — never a partial merge — through
-//!    wait-free [`QueryView`](crate::query::QueryView) loads while
-//!    ingestion continues. The [`crate::query`] module docs state the
-//!    publication contract.
+//! 4. each resolved scheduled cut is *published*: swapped into the
+//!    service's [`SnapshotHub`] cell, so any number of reader threads
+//!    holding [`SnapshotHandle`]s ([`StreamService::handle`]) see the
+//!    newest **complete** epoch — never a partial merge — through
+//!    [`QueryView`](crate::query::QueryView) loads while ingestion
+//!    continues. The [`crate::query`] module docs state the publication
+//!    contract.
 //!
 //! **Why snapshot ≡ replay holds.** A worker's clone is a faithful freeze of
 //! its sketch after exactly the updates dispatched before the cut (channel
 //! ordering), so the merged clones form the sketch of the concatenation of
 //! the workers' subsequences — a fixed interleaving of the stream prefix.
 //! For every mergeable family that interleaving is equivalent to the
-//! sequential prefix under the same per-family contract the
-//! `ShardedRunner` already obeys (`DESIGN.md §7`–`§8`): bit-identical for
-//! `merge_bitwise` families, estimate-equal otherwise. `tests/service.rs`
-//! pins snapshot-at-epoch-k ≡ a sequential one-shot run over the same
-//! prefix for every mergeable family in the registry.
+//! sequential prefix under the per-family merge contract
+//! (`DESIGN.md §7`–`§8`): bit-identical for `merge_bitwise` families,
+//! estimate-equal otherwise. `tests/service.rs` pins snapshot-at-epoch-k ≡
+//! a sequential one-shot run over the same prefix for every mergeable
+//! family in the registry.
 //!
 //! Everything is spec-driven: the sketch comes from a
 //! [`SketchSpec`](crate::spec::SketchSpec) string, the service shape from a
@@ -685,8 +690,7 @@ impl StreamService {
     /// Build the per-worker sketches from `spec` and start the worker
     /// threads. More than one thread requires the family to be `mergeable`
     /// (one thread degrades to a sequential service, valid for every
-    /// family) — the same rule as the
-    /// [`ShardedRunner`](crate::sharded::ShardedRunner).
+    /// family).
     pub fn start(
         registry: &Registry,
         spec: &SketchSpec,
@@ -1087,7 +1091,7 @@ impl StreamService {
 
     /// A cheaply-cloneable reader handle onto this service's publication
     /// hub. Hand one to each reader thread;
-    /// [`latest`](SnapshotHandle::latest) is wait-free and always returns
+    /// [`latest`](SnapshotHandle::latest) always returns
     /// the newest *complete* epoch snapshot (never a partial merge) while
     /// the service keeps ingesting. Handles stay valid after the service is
     /// finished or dropped — they keep serving the last published epoch.

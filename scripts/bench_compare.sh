@@ -8,11 +8,12 @@
 # The bench overwrites BENCH_ingest.json in place, so the committed baseline
 # is snapshotted first and both files are handed to the bench_compare bin
 # (crates/bench/src/bin/bench_compare.rs). Measurements present in both
-# files are gated — that includes the `ingest_service` section, so a >20%
-# snapshot-overhead regression in the StreamService fails here. Dropped
-# measurements are never gated by the bin, so additionally assert the
-# sharded, service, hash (including the per-kernel SIMD rows), merge,
-# query (batched vs scalar point queries on a published snapshot), serve
+# files are gated — that includes the `ingest_sharded` section (sequential
+# vs a one-epoch StreamService at 4 workers) and the `ingest_service`
+# section (a 4-epoch StreamService), so a >20% epoch-cut regression fails
+# here. Dropped measurements are never gated by the bin, so additionally
+# assert the sharded, service, hash (including the per-kernel SIMD rows),
+# merge, query (batched vs scalar point queries on a published snapshot), serve
 # (TCP round-trips under concurrent readers), service_overload (burst
 # ingestion through bounded queues, with the bounded-RSS assertion),
 # persist (snapshot encode/decode per family plus the cold-start recovery

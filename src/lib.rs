@@ -27,20 +27,19 @@
 //!   [`NormEstimate`](bd_stream::NormEstimate),
 //!   [`SampleQuery`](bd_stream::SampleQuery), and
 //!   [`Mergeable`](bd_stream::Mergeable) (identically seeded sketches merge,
-//!   the hook for sharded ingestion);
+//!   the hook for parallel ingestion);
 //! * **[`StreamRunner`](bd_stream::StreamRunner)** — the single ingestion
 //!   engine all benches, examples, and tests drive sketches through, with
 //!   wall-clock timing and bit-level space reports;
-//! * **[`ShardedRunner`](bd_stream::ShardedRunner)** — the parallel shape
-//!   of the same engine: contiguous stream shards, one identically-seeded
-//!   sketch per worker thread (`Registry::build_n`), a `merge_dyn` fold —
-//!   valid for every family whose descriptor reports `mergeable`
-//!   (`DESIGN.md §7` defines bit-identical vs estimate-equal merging);
-//! * **[`StreamService`](bd_stream::StreamService)** — the serving shape:
-//!   a long-lived engine over an unbounded update source that fans batches
-//!   out to per-shard worker threads and cuts an immutable merged
+//! * **[`StreamService`](bd_stream::StreamService)** — the parallel and
+//!   serving shape: a long-lived engine over an unbounded update source
+//!   that fans batches out to worker threads, one identically-seeded
+//!   sketch each (`Registry::build_n`), and cuts an immutable merged
 //!   [`Snapshot`](bd_stream::Snapshot) (sketch + `EpochReport` accounting)
-//!   every epoch while ingestion continues (`DESIGN.md §8`).
+//!   every epoch while ingestion continues (`DESIGN.md §8`). A one-shot
+//!   parallel run is a single epoch covering the whole stream, valid for
+//!   every family whose descriptor reports `mergeable` (`DESIGN.md §7`
+//!   defines bit-identical vs estimate-equal merging).
 //!
 //! ## Crates
 //!
@@ -148,9 +147,8 @@ pub mod prelude {
     pub use bd_stream::{DynSketch, Regime, Registry, SketchFamily, SketchSpec, SupportQuery};
     pub use bd_stream::{
         EpochReport, FrequencyVector, Item, Mergeable, NormEstimate, OverflowPolicy, PointQuery,
-        PointQueryBatch, RunReport, SampleQuery, ServiceConfig, ServiceError, ShardedRun,
-        ShardedRunner, Sketch, Snapshot, SpaceReport, SpaceUsage, StreamBatch, StreamRunner,
-        StreamService, Update,
+        PointQueryBatch, RunReport, SampleQuery, ServiceConfig, ServiceError, Sketch, Snapshot,
+        SpaceReport, SpaceUsage, StreamBatch, StreamRunner, StreamService, Update,
     };
     pub use bd_stream::{
         ErrorCode, QueryClient, QueryEngine, QueryError, QueryServer, QueryView, Request, Response,

@@ -1,6 +1,7 @@
 //! Helpers shared by the registry-driven integration suites (`conformance`,
-//! `sharded`, `spec`): the per-family conformance spec, the workload stream,
-//! and the capability-probe machinery every equality check compares.
+//! `sharded`, `service`, `spec`): the per-family conformance spec, the
+//! workload stream, and the capability-probe machinery every equality check
+//! compares.
 //!
 //! Probes carry their value kind so comparisons can be *bitwise* (families
 //! whose merges/batches replay exactly) or *estimate-equal* (deterministic

@@ -582,6 +582,43 @@ fn persistable_families_roundtrip_bit_for_bit() {
     );
 }
 
+/// Merges depend on sketch state alone, never on a hasher: merging a
+/// right-hand part rebuilt from scratch (same spec, same updates, fresh
+/// hash-table seeds) gives identical `sketch_to_bytes`, for every mergeable
+/// and persistable family. Several rebuilds make a merge that walks a hash
+/// table in iteration order all but certain to show.
+#[test]
+fn merges_do_not_depend_on_hash_order() {
+    let s = stream(0x4B);
+    let (left, right) = s.updates.split_at(s.len() / 2);
+    let mut covered = 0;
+    for info in registry().families() {
+        if !(info.caps.mergeable && info.caps.persist) {
+            continue;
+        }
+        covered += 1;
+        let spec = conformance_spec(info.family);
+        let a = shard_sketch(&spec, left);
+        let merged = || {
+            let mut m = a.clone_dyn();
+            m.merge_dyn(shard_sketch(&spec, right).as_ref()).unwrap();
+            sketch_to_bytes(&spec, m.as_ref()).unwrap()
+        };
+        let first = merged();
+        for rebuild in 1..8 {
+            assert!(
+                first == merged(),
+                "{}: merged bytes changed with rebuild {rebuild} of the right part",
+                info.family
+            );
+        }
+    }
+    assert!(
+        covered >= 20,
+        "mergeable persistable catalog shrank unexpectedly: {covered} families"
+    );
+}
+
 /// Adversarial snapshot decoding: truncations at every boundary, a
 /// deterministic bit-flip sweep, wrong versions, bad magic, and oversized
 /// length headers all land on typed [`PersistError`]s — never a panic,

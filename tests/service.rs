@@ -7,15 +7,17 @@
 //! cut, a snapshot that agrees with a sequential one-shot `StreamRunner`
 //! pass over the same stream *prefix*: bit-for-bit where the family claims
 //! `merge_bitwise`, estimate-equal (within the float-association tolerance)
-//! otherwise — the `tests/sharded.rs` contract, lifted from one merged pass
-//! to a ladder of epoch prefixes (`DESIGN.md §8`). CI re-runs this suite
-//! with the `BD_SHARD_THREADS` knob set to 2 and 8 so thread-count-dependent
-//! bugs surface there too.
+//! otherwise — the per-family merge contract of `DESIGN.md §7`, checked on
+//! a ladder of epoch prefixes (`DESIGN.md §8`). A one-shot parallel run is
+//! the one-epoch case of the same law. CI re-runs this suite with the
+//! `BD_SHARD_THREADS` knob set to 2 and 8 so thread-count-dependent bugs
+//! surface there too.
 
 mod common;
 
 use bd_stream::{
-    Capabilities, FamilyInfo, RegistryError, ServiceConfig, Snapshot, SpaceInputs, StreamService,
+    merge_tree, Capabilities, FamilyInfo, RegistryError, ServiceConfig, Snapshot, SpaceInputs,
+    StreamService,
 };
 use bounded_deletions::prelude::*;
 use common::{assert_probes_match, conformance_spec, probe, stream};
@@ -54,6 +56,31 @@ fn serve(spec: &SketchSpec, s: &StreamBatch, cfg: ServiceConfig) -> Vec<Arc<Snap
     let mut snaps = svc.ingest(&s.updates).unwrap();
     snaps.extend(svc.finish().unwrap());
     snaps
+}
+
+/// A one-worker service whose single epoch covers the stream, at the
+/// default chunk, is a plain sequential run: bit-identical to
+/// `StreamRunner::run` for every family, mergeable or not.
+#[test]
+fn one_worker_one_epoch_matches_sequential_for_every_family() {
+    let s = stream(0x15);
+    let cfg = ServiceConfig::default()
+        .with_threads(1)
+        .with_epoch(s.len() as u64);
+    for info in registry().families() {
+        let spec = conformance_spec(info.family);
+        let mut seq = registry().build(&spec).unwrap();
+        StreamRunner::new().run(&mut *seq, &s);
+        let snaps = serve(&spec, &s, cfg);
+        assert_eq!(snaps.len(), 1, "{}: one epoch, one snapshot", info.family);
+        assert_eq!(snaps[0].report.total_updates, s.len(), "{}", info.family);
+        assert_probes_match(
+            &format!("{} (one worker, one epoch)", info.family),
+            &probe(seq.as_ref()),
+            &probe(snaps[0].sketch.as_ref()),
+            true,
+        );
+    }
 }
 
 /// The acceptance check: snapshot-at-epoch-k ≡ a sequential one-shot run
@@ -195,13 +222,19 @@ fn snapshot_while_ingesting_is_safe_and_invisible() {
 
 /// Two service runs with the same (spec, stream, config) replay
 /// identically — including in the thinning regime, where merging consumes
-/// RNG draws — regardless of how the source is sliced into ingest calls.
+/// RNG draws, and for the candidate-tracking heavy hitters, whose merges
+/// must not depend on hash order — regardless of how the source is sliced
+/// into ingest calls.
 #[test]
 fn service_runs_replay_identically() {
     let s = stream(0xDF);
-    let thinned = conformance_spec(SketchFamily::Csss).with_budget(128);
-    let exact = conformance_spec(SketchFamily::AlphaL0);
-    for spec in [thinned, exact] {
+    let specs = [
+        conformance_spec(SketchFamily::Csss).with_budget(128),
+        conformance_spec(SketchFamily::SampledVector).with_budget(128),
+        conformance_spec(SketchFamily::AlphaL0),
+        conformance_spec(SketchFamily::AlphaHh),
+    ];
+    for spec in specs {
         for threads in thread_counts() {
             let cfg = service_config(s.len(), threads);
             let run = |slice: usize| {
@@ -222,6 +255,54 @@ fn service_runs_replay_identically() {
                 &run(997),
                 &run(4096),
                 true,
+            );
+        }
+    }
+}
+
+/// The tree fold the service uses must agree with the serial
+/// left-to-right `merge_dyn` fold it replaced, for **every** mergeable
+/// family — bit-for-bit where the family claims `merge_bitwise`,
+/// estimate-equal otherwise — at fan-ins covering balanced trees, odd
+/// survivors, and the single-pair case.
+#[test]
+fn tree_fold_matches_serial_fold_for_every_mergeable_family() {
+    let s = stream(0x7E);
+    for info in registry().families() {
+        if !info.caps.mergeable {
+            continue;
+        }
+        let spec = conformance_spec(info.family);
+        for n in [2usize, 3, 5, 8] {
+            let build_parts = || {
+                let mut parts = registry().build_n(&spec, n).unwrap();
+                let per = s.len().div_ceil(n);
+                for (part, chunk) in parts.iter_mut().zip(s.updates.chunks(per)) {
+                    StreamRunner::new().run_updates(&mut **part, chunk);
+                }
+                parts
+            };
+            let mut serial = build_parts();
+            let mut acc = serial.remove(0);
+            for part in &serial {
+                acc.merge_dyn(part.as_ref())
+                    .unwrap_or_else(|e| panic!("{}: serial merge failed: {e}", info.family));
+            }
+            let (tree, rep) = merge_tree(build_parts())
+                .unwrap_or_else(|e| panic!("{}: tree merge failed: {e}", info.family));
+            assert_eq!(rep.parts, n, "{}: fan-in", info.family);
+            assert_eq!(
+                rep.depth,
+                (n as f64).log2().ceil() as usize,
+                "{}: tree depth at n={n}",
+                info.family
+            );
+            assert_eq!(rep.merges(), n - 1, "{}: merge count", info.family);
+            assert_probes_match(
+                &format!("{} (tree vs serial fold, n = {n})", info.family),
+                &probe(acc.as_ref()),
+                &probe(tree.as_ref()),
+                info.caps.merge_bitwise,
             );
         }
     }

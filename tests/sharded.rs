@@ -1,21 +1,25 @@
-//! Shard ≡ sequential conformance for the `ShardedRunner` parallel
-//! ingestion engine.
+//! Shard ≡ sequential conformance for one-shot parallel ingestion.
+//!
+//! A one-shot parallel run is a `StreamService` whose single epoch covers
+//! the stream (`DESIGN.md §7`). Here it is driven with a dispatch chunk of
+//! ⌈len/k⌉, so each of the k workers ingests one contiguous shard of the
+//! stream and the shards are folded once, at the final cut.
 //!
 //! For **every** family whose registry descriptor reports `mergeable` (the
-//! suite iterates `registry().families()` — no hand-maintained list), a
-//! `ShardedRunner` pass at k ∈ {1, 2, 4, 7} shards over a mixed
-//! insert/delete workload must agree with the sequential `StreamRunner`:
-//! bit-for-bit where the family claims `merge_bitwise`, estimate-equal
-//! (within the float-association tolerance) otherwise — the contract
-//! `DESIGN.md §7` documents. CI re-runs this suite with the
+//! suite iterates `registry().families()` — no hand-maintained list), such
+//! a run at k ∈ {1, 2, 4, 7} shards over a mixed insert/delete workload
+//! must agree with the sequential `StreamRunner`: bit-for-bit where the
+//! family claims `merge_bitwise`, estimate-equal (within the
+//! float-association tolerance) otherwise. CI re-runs this suite with the
 //! `BD_SHARD_THREADS` knob set to 2 and 8 so thread-count-dependent bugs
 //! surface there too.
 
 mod common;
 
-use bd_stream::{merge_tree, RegistryError, ShardedRunner};
+use bd_stream::{RegistryError, ServiceConfig, Snapshot, StreamService};
 use bounded_deletions::prelude::*;
 use common::{assert_probes_match, conformance_spec, probe, stream};
+use std::sync::Arc;
 
 /// The shard counts under test: the fixed {1, 2, 4, 7} sweep plus an
 /// optional `BD_SHARD_THREADS` entry (the CI thread-matrix knob).
@@ -32,12 +36,25 @@ fn shard_counts() -> Vec<usize> {
     counts
 }
 
-/// The shard count a `ShardedRunner::new(threads)` pass actually uses:
-/// updates are cut into ⌈len/workers⌉-sized chunks, and the chunk count can
-/// undershoot the worker cap (5 updates across 4 workers ⇒ 3 chunks).
-fn expected_shards(len: usize, threads: usize) -> usize {
-    let per = len.div_ceil(threads.min(len).max(1)).max(1);
-    len.div_ceil(per).max(1)
+/// One epoch over the whole stream, k workers, one contiguous shard each.
+fn one_shot_config(len: usize, shards: usize) -> ServiceConfig {
+    ServiceConfig::default()
+        .with_threads(shards)
+        .with_epoch(len as u64)
+        .with_chunk(len.div_ceil(shards).max(1))
+}
+
+/// Run the one-shot service and return its single snapshot.
+fn one_shot(
+    spec: &SketchSpec,
+    s: &StreamBatch,
+    shards: usize,
+) -> Result<Arc<Snapshot>, RegistryError> {
+    let mut svc = StreamService::start(registry(), spec, one_shot_config(s.len(), shards))?;
+    let mut snaps = svc.ingest(&s.updates).unwrap();
+    snaps.extend(svc.finish().unwrap());
+    assert_eq!(snaps.len(), 1, "{}: one epoch, one snapshot", spec.family);
+    Ok(snaps.remove(0))
 }
 
 /// The acceptance check: shard(k) ≡ sequential for every mergeable family.
@@ -55,19 +72,27 @@ fn sharded_matches_sequential_for_every_mergeable_family() {
         StreamRunner::new().run(&mut *seq, &s);
         let want = probe(seq.as_ref());
         for k in shard_counts() {
-            let run = ShardedRunner::new(k)
-                .run(registry(), &spec, &s)
+            let snap = one_shot(&spec, &s, k)
                 .unwrap_or_else(|e| panic!("{}: sharded run failed: {e}", info.family));
-            assert_eq!(run.shard_count(), expected_shards(s.len(), k));
             assert_probes_match(
                 &format!("{} (shards = {k})", info.family),
                 &want,
-                &probe(run.sketch.as_ref()),
+                &probe(snap.sketch.as_ref()),
                 info.caps.merge_bitwise,
             );
-            let report = run.report();
-            assert_eq!(report.updates, s.len(), "{}: lost updates", info.family);
-            assert_eq!(report.mass, s.total_mass(), "{}: lost mass", info.family);
+            let report = snap.report;
+            assert_eq!(
+                report.total_updates,
+                s.len(),
+                "{}: lost updates",
+                info.family
+            );
+            assert_eq!(
+                report.total_mass(),
+                s.total_mass(),
+                "{}: lost mass",
+                info.family
+            );
         }
     }
     assert!(
@@ -76,28 +101,7 @@ fn sharded_matches_sequential_for_every_mergeable_family() {
     );
 }
 
-/// One shard is a plain sequential pass and must be valid (and bit-exact)
-/// for every family, mergeable or not.
-#[test]
-fn single_shard_matches_sequential_for_every_family() {
-    let s = stream(0x15);
-    for info in registry().families() {
-        let spec = conformance_spec(info.family);
-        let mut seq = registry().build(&spec).unwrap();
-        StreamRunner::new().run(&mut *seq, &s);
-        let run = ShardedRunner::new(1)
-            .run(registry(), &spec, &s)
-            .unwrap_or_else(|e| panic!("{}: single-shard run failed: {e}", info.family));
-        assert_probes_match(
-            &format!("{} (single shard)", info.family),
-            &probe(seq.as_ref()),
-            &probe(run.sketch.as_ref()),
-            true,
-        );
-    }
-}
-
-/// Two sharded runs with the same seed and thread count replay identically —
+/// Two sharded runs with the same seed and shard count replay identically —
 /// including in the *thinning* regime, where merging consumes RNG draws.
 #[test]
 fn sharded_runs_replay_identically() {
@@ -112,63 +116,12 @@ fn sharded_runs_replay_identically() {
     ];
     for spec in thinned.iter().chain(&exact_regime) {
         for k in [2, 4, 7] {
-            let run_once = || {
-                let run = ShardedRunner::new(k).run(registry(), spec, &s).unwrap();
-                probe(run.sketch.as_ref())
-            };
+            let run_once = || probe(one_shot(spec, &s, k).unwrap().sketch.as_ref());
             assert_probes_match(
                 &format!("{} (determinism, shards = {k})", spec.family),
                 &run_once(),
                 &run_once(),
                 true,
-            );
-        }
-    }
-}
-
-/// The tree fold both engines now use must agree with the serial
-/// left-to-right `merge_dyn` fold it replaced, for **every** mergeable
-/// family — bit-for-bit where the family claims `merge_bitwise`,
-/// estimate-equal otherwise — at fan-ins covering balanced trees, odd
-/// survivors, and the inline single-pair case.
-#[test]
-fn tree_fold_matches_serial_fold_for_every_mergeable_family() {
-    let s = stream(0x7E);
-    for info in registry().families() {
-        if !info.caps.mergeable {
-            continue;
-        }
-        let spec = conformance_spec(info.family);
-        for n in [2usize, 3, 5, 8] {
-            let build_parts = || {
-                let mut parts = registry().build_n(&spec, n).unwrap();
-                let per = s.len().div_ceil(n);
-                for (part, chunk) in parts.iter_mut().zip(s.updates.chunks(per)) {
-                    StreamRunner::new().run_updates(&mut **part, chunk);
-                }
-                parts
-            };
-            let mut serial = build_parts();
-            let mut acc = serial.remove(0);
-            for part in &serial {
-                acc.merge_dyn(part.as_ref())
-                    .unwrap_or_else(|e| panic!("{}: serial merge failed: {e}", info.family));
-            }
-            let (tree, rep) = merge_tree(build_parts())
-                .unwrap_or_else(|e| panic!("{}: tree merge failed: {e}", info.family));
-            assert_eq!(rep.parts, n, "{}: fan-in", info.family);
-            assert_eq!(
-                rep.depth,
-                (n as f64).log2().ceil() as usize,
-                "{}: tree depth at n={n}",
-                info.family
-            );
-            assert_eq!(rep.merges(), n - 1, "{}: merge count", info.family);
-            assert_probes_match(
-                &format!("{} (tree vs serial fold, n = {n})", info.family),
-                &probe(acc.as_ref()),
-                &probe(tree.as_ref()),
-                info.caps.merge_bitwise,
             );
         }
     }
@@ -186,31 +139,10 @@ fn non_mergeable_families_error_beyond_one_shard() {
         rejected += 1;
         let spec = conformance_spec(info.family);
         assert!(
-            matches!(
-                ShardedRunner::new(4).run(registry(), &spec, &s),
-                Err(RegistryError::NotMergeable)
-            ),
+            matches!(one_shot(&spec, &s, 4), Err(RegistryError::NotMergeable)),
             "{}: expected NotMergeable",
             info.family
         );
     }
     assert!(rejected > 0, "no non-mergeable families left to reject?");
-}
-
-/// Per-shard accounting: the shard reports partition the stream, and the
-/// summary report's wall clock covers the merge.
-#[test]
-fn shard_reports_partition_the_stream() {
-    let s = stream(0x33);
-    let spec = conformance_spec(SketchFamily::Exact);
-    let run = ShardedRunner::new(4).run(registry(), &spec, &s).unwrap();
-    assert_eq!(run.shards.len(), 4);
-    assert_eq!(run.shards.iter().map(|r| r.updates).sum::<usize>(), s.len());
-    let per = s.len().div_ceil(4);
-    for (i, rep) in run.shards.iter().enumerate() {
-        let expect = per.min(s.len() - i * per);
-        assert_eq!(rep.updates, expect, "shard {i} size");
-    }
-    assert!(run.elapsed >= run.merge_elapsed);
-    assert!(run.report().updates_per_sec() > 0.0);
 }

@@ -4,7 +4,6 @@
 
 mod common;
 
-use bd_stream::ShardedRunner;
 use bounded_deletions::prelude::*;
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -89,7 +88,7 @@ fn build_pair_is_deterministic_for_every_family() {
     }
 }
 
-/// Property-style seeded sweep for `build_n` — the `ShardedRunner`'s
+/// Property-style seeded sweep for `build_n` — the `StreamService`'s
 /// construction primitive: for every registered family, `n` copies built
 /// from one spec are pairwise bit-identical after replaying the same
 /// stream, across several seeds and copy counts.
@@ -117,19 +116,24 @@ fn build_n_copies_are_pairwise_bit_identical_for_every_family() {
     }
 }
 
-/// `ShardedRunner` is reachable from the prelude-level API surface the
-/// docs advertise (spec string → registry → sharded run).
+/// A sharded one-shot run is reachable from the prelude-level API surface
+/// the docs advertise: spec string → registry → a 4-worker service whose
+/// one epoch covers the stream.
 #[test]
 fn sharded_runner_drives_a_spec_string() {
     let (spec, _) = registry()
         .build_str("countsketch:n=2^10,eps=0.2,seed=5")
         .unwrap();
     let stream = common::stream(0xCE);
-    let run = ShardedRunner::new(4)
-        .run(registry(), &spec, &stream)
-        .unwrap();
-    assert_eq!(run.report().updates, stream.len());
-    assert!(run.sketch.as_point().is_some());
+    let cfg = ServiceConfig::default()
+        .with_threads(4)
+        .with_epoch(stream.len() as u64);
+    let mut svc = StreamService::start(registry(), &spec, cfg).unwrap();
+    let mut snaps = svc.ingest(&stream.updates).unwrap();
+    snaps.extend(svc.finish().unwrap());
+    assert_eq!(snaps.len(), 1);
+    assert_eq!(snaps[0].report.total_updates, stream.len());
+    assert!(snaps[0].sketch.as_point().is_some());
 }
 
 /// Collect the target type names of every `impl ... Sketch for <Type>` in a
