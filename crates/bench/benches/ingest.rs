@@ -37,6 +37,7 @@
 
 use bd_bench::micro::{self, Measurement};
 use bd_bench::registry;
+use bd_core::AlphaHeavyHitters;
 use bd_hash::{simd, M61Elem};
 use bd_stream::gen::BoundedDeletionGen;
 use bd_stream::{
@@ -162,6 +163,44 @@ fn main() {
         "frequency_vector(control)",
         base.with_family(SketchFamily::Exact),
     );
+
+    // Steady-state α heavy hitters. The `update_batch` row above times
+    // fresh sketches, whose CSSS keeps every unit; a long-running worker
+    // samples at a deep level, where every chunk thins, draws per-row
+    // binomials and prunes its candidate set several times. Warm one
+    // sketch with whole passes until CSSS reaches level 5, then time
+    // further passes into it.
+    let mut hh = bd_bench::build::<AlphaHeavyHitters>(&base.with_family(SketchFamily::AlphaHh));
+    while hh.sampling_level() < 5 {
+        bat.run(&mut hh, &stream);
+    }
+    let steady = micro::sample(
+        "alpha_heavy_hitters/update_batch_steady",
+        stream.len() as u64,
+        SAMPLES,
+        WARMUP,
+        |_| {
+            bat.run(&mut hh, &stream);
+        },
+    );
+    micro::report(&steady);
+    println!();
+    results.push(steady);
+
+    // The amplified L1 sampler (30 instances at ε = 0.1) groups each chunk
+    // once, item index included, and replays it into every instance; each
+    // instance scores its grouped items in one batched pass. The
+    // per-update path pays 30 instances of scalar estimates per update, so
+    // only the batched row is timed.
+    let l1 = ingest(
+        "alpha_l1_sampler/update_batch",
+        &stream,
+        bat,
+        base.with_family(SketchFamily::AlphaL1Sampler),
+    );
+    micro::report(&l1);
+    println!();
+    results.push(l1);
 
     // Sharded ingestion: batched sequential pass vs a one-shot parallel
     // run at `SHARD_THREADS` workers — a service whose one epoch covers the

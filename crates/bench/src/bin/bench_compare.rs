@@ -17,7 +17,10 @@
 //!
 //! The parser covers exactly the JSON `bd_bench::micro::to_json` emits (the
 //! offline build has no serde): one `benchmarks` array of flat objects with
-//! string `name` and numeric `updates_per_sec` fields.
+//! string `name` and numeric `updates_per_sec` fields, plus the optional
+//! `p25_ns`/`p75_ns` sample quartiles, which are printed beside each
+//! compared row (baselines recorded before they existed parse without
+//! them). The spread is reported only: the gate reads the medians.
 
 use std::process::ExitCode;
 
@@ -28,8 +31,16 @@ use std::process::ExitCode;
 /// the section exists, so serve coverage cannot silently vanish.
 const UNGATED_PREFIXES: &[&str] = &["serve/"];
 
-/// Extract `(name, updates_per_sec)` pairs from a `micro::to_json` document.
-fn parse_measurements(json: &str) -> Vec<(String, f64)> {
+/// One parsed benchmark row.
+struct Row {
+    name: String,
+    updates_per_sec: f64,
+    /// `(p25_ns, p75_ns)`, when the run recorded its spread.
+    quartiles: Option<(f64, f64)>,
+}
+
+/// Extract the benchmark rows from a `micro::to_json` document.
+fn parse_measurements(json: &str) -> Vec<Row> {
     let mut out = Vec::new();
     // Objects never nest in this format: scan `{...}` spans after the
     // `benchmarks` key and pull the two fields per span.
@@ -44,7 +55,11 @@ fn parse_measurements(json: &str) -> Vec<(String, f64)> {
         let obj = &rest[open..open + close];
         if let (Some(name), Some(ups)) = (field_str(obj, "name"), field_num(obj, "updates_per_sec"))
         {
-            out.push((name, ups));
+            out.push(Row {
+                name,
+                updates_per_sec: ups,
+                quartiles: field_num(obj, "p25_ns").zip(field_num(obj, "p75_ns")),
+            });
         }
         rest = &rest[open + close + 1..];
     }
@@ -102,10 +117,10 @@ fn main() -> ExitCode {
     // normalized ratios. (Uniform slowdowns that also hit the control —
     // e.g. a StreamRunner regression — are deliberately not gated here;
     // they show up in the printed control line.)
-    let control_of = |set: &[(String, f64)]| {
+    let control_of = |set: &[Row]| {
         set.iter()
-            .find(|(n, _)| n == "frequency_vector(control)/per_update")
-            .map(|&(_, v)| v)
+            .find(|r| r.name == "frequency_vector(control)/per_update")
+            .map(|r| r.updates_per_sec)
     };
     let norms = match (control_of(&baseline), control_of(&candidate)) {
         (Some(b), Some(c)) if b > 0.0 && c > 0.0 => Some((b, c)),
@@ -127,13 +142,19 @@ fn main() -> ExitCode {
         }
     );
     println!(
-        "{:<46} {:>14} {:>14} {:>9}",
-        "benchmark", "baseline up/s", "candidate up/s", "ratio"
+        "{:<46} {:>14} {:>14} {:>9}  {:>21}",
+        "benchmark", "baseline up/s", "candidate up/s", "ratio", "p25–p75 ns/op (b | c)"
     );
+    let spread = |q: Option<(f64, f64)>| match q {
+        Some((p25, p75)) => format!("{p25:.1}–{p75:.1}"),
+        None => "-".to_string(),
+    };
     let mut regressions = 0usize;
-    for (name, base_ups) in &baseline {
-        match candidate.iter().find(|(n, _)| n == name) {
-            Some((_, new_ups)) => {
+    for base in &baseline {
+        let (name, base_ups) = (&base.name, base.updates_per_sec);
+        match candidate.iter().find(|r| &r.name == name) {
+            Some(cand) => {
+                let new_ups = cand.updates_per_sec;
                 let ratio = match norms {
                     Some((bc, cc)) => (new_ups / cc) / (base_ups / bc),
                     None => new_ups / base_ups,
@@ -147,7 +168,10 @@ fn main() -> ExitCode {
                 } else {
                     ""
                 };
-                println!("{name:<46} {base_ups:>14.0} {new_ups:>14.0} {ratio:>8.2}x{flag}");
+                let quartiles = format!("{} | {}", spread(base.quartiles), spread(cand.quartiles));
+                println!(
+                    "{name:<46} {base_ups:>14.0} {new_ups:>14.0} {ratio:>8.2}x  {quartiles:>21}{flag}"
+                );
             }
             None => println!(
                 "{name:<46} {base_ups:>14.0} {:>14} (dropped — not gated)",
@@ -155,9 +179,12 @@ fn main() -> ExitCode {
             ),
         }
     }
-    for (name, _) in &candidate {
-        if !baseline.iter().any(|(n, _)| n == name) {
-            println!("{name:<46} {:>14} (new — no baseline, not gated)", "-");
+    for cand in &candidate {
+        if !baseline.iter().any(|r| r.name == cand.name) {
+            println!(
+                "{:<46} {:>14} (new — no baseline, not gated)",
+                cand.name, "-"
+            );
         }
     }
 
@@ -173,5 +200,27 @@ fn main() -> ExitCode {
             tolerance * 100.0
         );
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parses_rows_with_and_without_spread() {
+        let json = r#"{
+  "machine": "x",
+  "benchmarks": [
+    {"name": "a/old", "ns_per_op": 2.000, "updates_per_sec": 500000000.0, "ops": 10, "samples": 7},
+    {"name": "a/new", "ns_per_op": 2.000, "updates_per_sec": 500000000.0, "ops": 10, "samples": 7, "min_ns": 1.500, "p25_ns": 1.750, "p75_ns": 2.250, "max_ns": 3.000}
+  ]
+}"#;
+        let rows = parse_measurements(json);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].name, "a/old");
+        assert_eq!(rows[0].quartiles, None);
+        assert_eq!(rows[1].quartiles, Some((1.75, 2.25)));
+        assert_eq!(rows[1].updates_per_sec, 5e8);
     }
 }

@@ -2,13 +2,15 @@
 //!
 //! The workspace builds offline, so criterion is unavailable; this module
 //! provides the slice of it the benches need: warmup, repeated timed
-//! samples, median-of-samples reporting, and a JSON emitter so later PRs
-//! can track a throughput trajectory (`BENCH_ingest.json`).
+//! samples, median-of-samples reporting with the samples' min, quartiles
+//! and max beside it, and a JSON emitter so later PRs can track a
+//! throughput trajectory (`BENCH_ingest.json`).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// One measured benchmark: a name and a median throughput/latency sample.
+/// One measured benchmark: a name, the median throughput/latency sample,
+/// and the spread of the samples around it.
 #[derive(Clone, Debug)]
 pub struct Measurement {
     /// Benchmark id, e.g. `"csss/update_batch"`.
@@ -16,6 +18,14 @@ pub struct Measurement {
     /// Median nanoseconds per operation (one "operation" is caller-defined;
     /// the ingest benches use one stream update).
     pub ns_per_op: f64,
+    /// Fastest sample, nanoseconds per operation.
+    pub min_ns: f64,
+    /// First quartile of the samples, nanoseconds per operation.
+    pub p25_ns: f64,
+    /// Third quartile of the samples, nanoseconds per operation.
+    pub p75_ns: f64,
+    /// Slowest sample, nanoseconds per operation.
+    pub max_ns: f64,
     /// Operations per second implied by the median sample.
     pub ops_per_sec: f64,
     /// Number of operations timed per sample.
@@ -25,8 +35,9 @@ pub struct Measurement {
 }
 
 /// Time `ops_per_sample` operations `samples` times (after `warmup` untimed
-/// runs) and report the median. `run` receives the sample index and must
-/// perform exactly `ops_per_sample` operations.
+/// runs) and report the median with the min, quartiles and max. `run`
+/// receives the sample index and must perform exactly `ops_per_sample`
+/// operations.
 pub fn sample<F: FnMut(usize)>(
     name: &str,
     ops_per_sample: u64,
@@ -46,11 +57,16 @@ pub fn sample<F: FnMut(usize)>(
         })
         .collect();
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = times[times.len() / 2];
-    let ns_per_op = median / ops_per_sample as f64;
+    let last = times.len() - 1;
+    let per_op = |t: f64| t / ops_per_sample as f64;
+    let ns_per_op = per_op(times[times.len() / 2]);
     Measurement {
         name: name.to_string(),
         ns_per_op,
+        min_ns: per_op(times[0]),
+        p25_ns: per_op(times[last / 4]),
+        p75_ns: per_op(times[(3 * last).div_ceil(4)]),
+        max_ns: per_op(times[last]),
         ops_per_sec: 1e9 / ns_per_op.max(1e-9),
         ops: ops_per_sample,
         samples,
@@ -82,12 +98,17 @@ pub fn to_json(context: &[(&str, String)], measurements: &[Measurement]) -> Stri
         let _ = write!(
             out,
             "    {{\"name\": \"{}\", \"ns_per_op\": {:.3}, \"updates_per_sec\": {:.1}, \
-             \"ops\": {}, \"samples\": {}}}",
+             \"ops\": {}, \"samples\": {}, \"min_ns\": {:.3}, \"p25_ns\": {:.3}, \
+             \"p75_ns\": {:.3}, \"max_ns\": {:.3}}}",
             esc(&m.name),
             m.ns_per_op,
             m.ops_per_sec,
             m.ops,
-            m.samples
+            m.samples,
+            m.min_ns,
+            m.p25_ns,
+            m.p75_ns,
+            m.max_ns
         );
         out.push_str(if i + 1 == measurements.len() {
             "\n"
@@ -116,6 +137,8 @@ mod tests {
         assert_eq!(m.samples, 5);
         assert!(m.ns_per_op >= 0.0);
         assert!(m.ops_per_sec > 0.0);
+        assert!(m.min_ns <= m.p25_ns && m.p25_ns <= m.ns_per_op);
+        assert!(m.ns_per_op <= m.p75_ns && m.p75_ns <= m.max_ns);
     }
 
     #[test]
@@ -123,6 +146,10 @@ mod tests {
         let m = Measurement {
             name: "a/b".into(),
             ns_per_op: 1.5,
+            min_ns: 1.25,
+            p25_ns: 1.25,
+            p75_ns: 2.0,
+            max_ns: 2.5,
             ops_per_sec: 6.66e8,
             ops: 10,
             samples: 3,
@@ -130,6 +157,7 @@ mod tests {
         let j = to_json(&[("machine", "test\"box".into())], &[m]);
         assert!(j.starts_with('{') && j.trim_end().ends_with('}'));
         assert!(j.contains("\"updates_per_sec\""));
+        assert!(j.contains("\"p25_ns\": 1.250, \"p75_ns\": 2.000"));
         assert!(j.contains("test\\\"box"));
         assert_eq!(j.matches("\"name\"").count(), 1);
     }

@@ -35,6 +35,9 @@ struct IngestScratch {
     signs: Vec<bool>,
     /// Per-item row estimates for the multi-point query path.
     ests: Vec<f64>,
+    /// Whether the plan holds the last [`Csss::update_aggregated`] chunk
+    /// (not a point-query batch).
+    holds_ingest: bool,
 }
 
 /// One row: an independent Countsketch row over an independent sample.
@@ -203,6 +206,7 @@ impl Csss {
             plan,
             buckets,
             signs,
+            holds_ingest,
             ..
         } = scratch;
         plan.load(agg.iter().map(|&(item, _, _)| item));
@@ -212,6 +216,7 @@ impl Csss {
             plan.append_buckets(&row.h, buckets);
             plan.append_signs(&row.g, signs);
         }
+        *holds_ingest = true;
         let m = plan.len();
         for (idx, &(_, pos, neg)) in agg.iter().enumerate() {
             for (weight, positive) in [(pos, true), (neg, false)] {
@@ -269,40 +274,53 @@ impl Csss {
     /// Bit-identical per item to [`Csss::estimate`] (same float operations
     /// in the same order); `&mut self` only for the reusable scratch.
     pub fn estimate_many(&mut self, items: &[u64], out: &mut Vec<f64>) {
-        let Self {
-            rows,
-            scratch,
-            level,
+        let IngestScratch {
+            plan,
+            buckets,
+            signs,
+            holds_ingest,
             ..
-        } = self;
+        } = &mut self.scratch;
+        plan.load(items.iter().copied());
+        buckets.clear();
+        signs.clear();
+        for row in self.rows.iter() {
+            plan.append_buckets(&row.h, buckets);
+            plan.append_signs(&row.g, signs);
+        }
+        *holds_ingest = false;
+        out.clear();
+        self.push_estimates(out);
+    }
+
+    /// Point estimates, against the current counters, for the distinct
+    /// items of the last [`Csss::update_aggregated`] chunk, in chunk order:
+    /// read from the bucket and sign buffers that call filled, with no hash
+    /// pass. `out` is cleared and filled positionally; each value is
+    /// bit-identical to [`Csss::estimate`]. Panics if an
+    /// [`Csss::estimate_many`] call has reloaded the plan since.
+    pub(crate) fn estimate_aggregated(&mut self, out: &mut Vec<f64>) {
+        assert!(
+            self.scratch.holds_ingest,
+            "estimate_aggregated needs the plan of the last update_aggregated"
+        );
+        out.clear();
+        self.push_estimates(out);
+    }
+
+    /// Append the median-of-rows estimate of every item in the scratch plan
+    /// to `out`, from the plan's row-major bucket and sign buffers.
+    fn push_estimates(&mut self, out: &mut Vec<f64>) {
+        let scale = self.scale();
         let IngestScratch {
             plan,
             buckets,
             signs,
             ests,
             ..
-        } = scratch;
-        plan.load(items.iter().copied());
-        buckets.clear();
-        signs.clear();
-        for row in rows.iter() {
-            plan.append_buckets(&row.h, buckets);
-            plan.append_signs(&row.g, signs);
-        }
-        let m = items.len();
-        let scale = (*level as f64).exp2();
-        out.clear();
-        out.reserve(m);
-        for idx in 0..m {
-            ests.clear();
-            for (r, row) in rows.iter().enumerate() {
-                let b = buckets[r * m + idx] as usize;
-                let raw = row.pos[b] as f64 - row.neg[b] as f64;
-                let signed = if signs[r * m + idx] { raw } else { -raw };
-                ests.push(signed * scale);
-            }
-            out.push(bd_sketch::median_f64(ests));
-        }
+        } = &mut self.scratch;
+        let m = plan.len();
+        push_row_medians(&self.rows, scale, m, buckets, signs, ests, out);
     }
 
     /// [`Csss::estimate_many`] without the sketch-resident scratch: the hash
@@ -320,20 +338,16 @@ impl Csss {
             plan.append_buckets(&row.h, &mut buckets);
             plan.append_signs(&row.g, &mut signs);
         }
-        let m = items.len();
-        let scale = self.scale();
         let mut ests = Vec::with_capacity(self.rows.len());
-        out.reserve(m);
-        for idx in 0..m {
-            ests.clear();
-            for (r, row) in self.rows.iter().enumerate() {
-                let b = buckets[r * m + idx] as usize;
-                let raw = row.pos[b] as f64 - row.neg[b] as f64;
-                let signed = if signs[r * m + idx] { raw } else { -raw };
-                ests.push(signed * scale);
-            }
-            out.push(bd_sketch::median_f64(&mut ests));
-        }
+        push_row_medians(
+            &self.rows,
+            self.scale(),
+            items.len(),
+            &buckets,
+            &signs,
+            &mut ests,
+            out,
+        );
     }
 
     /// `‖row residual‖₂` after subtracting a sparse vector `yhat` from the
@@ -375,6 +389,33 @@ impl Csss {
                 row.thin(rng);
             }
         }
+    }
+}
+
+/// Append to `out` the point estimate of each of `m` items whose row-major
+/// bucket and sign buffers (`[r·m + idx]`) are given: per row the scaled
+/// `2^p·g_i(j)·(a⁺ − a⁻)` of [`Csss::row_estimate`], then the median over
+/// rows. The one estimate loop of every batched path, so each stays
+/// bit-identical to [`Csss::estimate`]. `ests` is reused row scratch.
+fn push_row_medians(
+    rows: &[CsssRow],
+    scale: f64,
+    m: usize,
+    buckets: &[u64],
+    signs: &[bool],
+    ests: &mut Vec<f64>,
+    out: &mut Vec<f64>,
+) {
+    out.reserve(m);
+    for idx in 0..m {
+        ests.clear();
+        for (r, row) in rows.iter().enumerate() {
+            let b = buckets[r * m + idx] as usize;
+            let raw = row.pos[b] as f64 - row.neg[b] as f64;
+            let signed = if signs[r * m + idx] { raw } else { -raw };
+            ests.push(signed * scale);
+        }
+        out.push(bd_sketch::median_f64(ests));
     }
 }
 

@@ -41,6 +41,8 @@ pub struct AlphaHeavyHitters {
     universe: u64,
     /// Reusable chunk-aggregation scratch (no sketch state).
     agg: BatchScratch,
+    /// Reusable per-chunk candidate scores (no sketch state).
+    scores: Vec<f64>,
 }
 
 impl AlphaHeavyHitters {
@@ -68,6 +70,7 @@ impl AlphaHeavyHitters {
             epsilon: params.epsilon,
             universe: params.n,
             agg: BatchScratch::default(),
+            scores: Vec::new(),
         }
     }
 
@@ -93,6 +96,11 @@ impl AlphaHeavyHitters {
     /// Point query `y*_i`.
     pub fn estimate(&self, item: u64) -> f64 {
         self.csss.estimate(item)
+    }
+
+    /// The CSSS core's sampling level `p` (rate `2^{-p}`).
+    pub fn sampling_level(&self) -> u32 {
+        self.csss.level()
     }
 
     /// The ε-heavy-hitter set: contains every `|f_i| ≥ ε‖f‖₁`, nothing
@@ -128,17 +136,20 @@ impl Sketch for AlphaHeavyHitters {
     /// batched hash pass ([`Csss::update_aggregated`]), (2) the norm
     /// tracker absorbs per-item net deltas (it is linear), (3) the
     /// candidate set is offered each distinct item once, after the counters
-    /// settle — prune passes trigger exactly as under per-item offers, but
-    /// each pass scores the whole set through one
-    /// [`Csss::estimate_many`] batched hash pass instead of `2·cap` scalar
-    /// point queries.
+    /// settle. Every item a prune pass can see is scored exactly once per
+    /// chunk: chunk items from the bucket and sign buffers step (1) left
+    /// behind (`Csss::estimate_aggregated`, no hash pass), held members
+    /// outside the chunk in one [`Csss::estimate_many`] pass, found by
+    /// probing the aggregation table. Prune passes fire at the same offers
+    /// and keep the same items as per-item offers scored by
+    /// [`Csss::estimate`], so the state is bit-identical to that recipe
+    /// (pinned by `batched_candidates_match_per_item_offers`).
     fn update_batch(&mut self, batch: &[Update]) {
-        let mut scratch = std::mem::take(&mut self.agg);
-        let agg = scratch.aggregate_signed_mass(batch);
-        if agg.is_empty() {
-            self.agg = scratch;
+        if self.agg.aggregate_signed_mass(batch).is_empty() {
             return;
         }
+        let table = &self.agg;
+        let agg = table.signed_mass();
         self.csss.update_aggregated(agg);
         match &mut self.norm {
             NormTracker::Strict { net } => {
@@ -156,12 +167,14 @@ impl Sketch for AlphaHeavyHitters {
                 }
             }
         }
+        self.csss.estimate_aggregated(&mut self.scores);
         let csss = &mut self.csss;
-        self.candidates
-            .offer_chunk(agg.iter().map(|&(item, _, _)| item), |items, out| {
-                csss.estimate_many(items, out)
-            });
-        self.agg = scratch;
+        self.candidates.offer_chunk(
+            agg.iter().map(|&(item, _, _)| item),
+            &self.scores,
+            |item| table.index_of(item),
+            |members, out| csss.estimate_many(members, out),
+        );
     }
 }
 
@@ -376,6 +389,81 @@ mod tests {
         let mut strict = AlphaHeavyHitters::new_strict(1, &params);
         let general = AlphaHeavyHitters::new_general(1, &params);
         strict.merge_from(&general);
+    }
+
+    /// One chunk through the per-item reference: the same aggregate →
+    /// `update_aggregated` → norm steps as `update_batch`, then one
+    /// `CandidateSet::offer` per distinct item, scored by scalar
+    /// `Csss::estimate`.
+    fn per_item_offer_chunk(hh: &mut AlphaHeavyHitters, batch: &[Update]) {
+        let mut scratch = BatchScratch::default();
+        let agg = scratch.aggregate_signed_mass(batch);
+        if agg.is_empty() {
+            return;
+        }
+        hh.csss.update_aggregated(agg);
+        match &mut hh.norm {
+            NormTracker::Strict { net } => {
+                *net += agg
+                    .iter()
+                    .map(|&(_, p, n)| p as i64 - n as i64)
+                    .sum::<i64>();
+            }
+            NormTracker::General(m) => {
+                for &(item, pos, neg) in agg {
+                    let net = pos as i64 - neg as i64;
+                    if net != 0 {
+                        m.update(item, net);
+                    }
+                }
+            }
+        }
+        let csss = &hh.csss;
+        for &(item, _, _) in agg {
+            hh.candidates.offer(item, |i| csss.estimate(i));
+        }
+    }
+
+    fn state_bytes(hh: &AlphaHeavyHitters) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        hh.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn batched_candidates_match_per_item_offers() {
+        // A flat popularity curve puts more than 2·cap distinct items in
+        // every chunk at ε = 0.5 (cap 16), so every chunk prunes; a small
+        // sample constant makes CSSS thin within the first chunks, which
+        // leaves many equal |estimates| for the id tie-break to order.
+        let mut gen = BoundedDeletionGen::new(1 << 16, 30_000, 4.0);
+        gen.zipf_s = 0.6;
+        gen.distinct = 8192;
+        let stream = gen.generate_seeded(90);
+        for eps in [0.5, 0.1] {
+            let mut params = Params::practical(stream.n, eps, 4.0);
+            params.sample_const = 0.125;
+            for strict in [true, false] {
+                for chunk in [4096, 1000, 37] {
+                    let mut batched = if strict {
+                        AlphaHeavyHitters::new_strict(91, &params)
+                    } else {
+                        AlphaHeavyHitters::new_general(91, &params)
+                    };
+                    let mut reference = batched.clone();
+                    for (c, updates) in stream.updates.chunks(chunk).enumerate() {
+                        batched.update_batch(updates);
+                        per_item_offer_chunk(&mut reference, updates);
+                        assert!(
+                            state_bytes(&batched) == state_bytes(&reference),
+                            "ε={eps} strict={strict} chunk={chunk}: state diverged at chunk {c}"
+                        );
+                    }
+                    assert!(batched.csss.level() >= 3, "CSSS never thinned");
+                    assert_eq!(batched.query(), reference.query());
+                }
+            }
+        }
     }
 
     #[test]

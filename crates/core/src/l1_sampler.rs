@@ -20,6 +20,7 @@ use bd_stream::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// One αL1Sampler instance (Figure 3).
 #[derive(Clone, Debug)]
@@ -75,9 +76,8 @@ impl AlphaL1SamplerInstance {
         self.candidates.offer(item, |i| cs.estimate(i));
     }
 
-    /// Batched ingestion over a chunk grouped by item (first-touch order,
-    /// one `(item, deltas…)` entry per distinct item — see
-    /// [`group_by_item`]): the `O(log 1/ε)`-wise `1/t_i` evaluation — the
+    /// Batched ingestion over a chunk grouped by item (see
+    /// [`GroupedChunk`]): the `O(log 1/ε)`-wise `1/t_i` evaluation — the
     /// per-update hot cost — is paid once per *distinct* chunk item,
     /// per-update scaled weights keep the sequential quantization
     /// `w_t = max(1, round(|Δ_t|/t_i))` and are summed per item and sign,
@@ -86,12 +86,14 @@ impl AlphaL1SamplerInstance {
     /// sample budget (under thinning, one summed `Bin` draw replaces the
     /// per-update draws: statistically equivalent, as for CSSS's own batch
     /// override). Candidates are offered once per distinct item after the
-    /// counters settle — identical candidate-set semantics, a fraction of
-    /// the point-query evaluations (the `AlphaHeavyHitters` recipe; the
-    /// offer timing is why the override is declared statistical even
-    /// without thinning).
-    fn apply_grouped(&mut self, grouped: &[(u64, Vec<i64>)]) {
-        for (item, deltas) in grouped {
+    /// counters settle, through the candidate path `AlphaHeavyHitters`
+    /// shares: the grouped items are scored in one [`Csss::estimate_many`]
+    /// pass and [`CandidateSet::offer_chunk`] replays the offers, so the
+    /// set is bit-identical to per-item offers scored by
+    /// [`Csss::estimate`] (the offer timing is why the override is declared
+    /// statistical even without thinning). `scores` is reusable scratch.
+    fn apply_grouped(&mut self, chunk: &GroupedChunk, scores: &mut Vec<f64>) {
+        for (item, deltas) in chunk.items.iter().zip(&chunk.deltas) {
             let inv_t = self.ts.inv_t(*item);
             let (mut wpos, mut wneg) = (0u64, 0u64);
             for &delta in deltas {
@@ -114,10 +116,14 @@ impl AlphaL1SamplerInstance {
                 self.q += wneg;
             }
         }
-        let cs = &self.cs1;
-        for (item, _) in grouped {
-            self.candidates.offer(*item, |i| cs.estimate(i));
-        }
+        self.cs1.estimate_many(&chunk.items, scores);
+        let cs = &mut self.cs1;
+        self.candidates.offer_chunk(
+            chunk.items.iter().copied(),
+            scores,
+            |item| chunk.index.get(&item).copied(),
+            |members, out| cs.estimate_many(members, out),
+        );
     }
 
     /// Figure 3's Recovery step.
@@ -159,32 +165,50 @@ impl Sketch for AlphaL1SamplerInstance {
     }
 
     fn update_batch(&mut self, batch: &[Update]) {
-        self.apply_grouped(&group_by_item(batch));
+        self.apply_grouped(&GroupedChunk::new(batch), &mut Vec::new());
     }
 }
 
-/// Group a chunk's non-zero updates by item, keeping per-update deltas and
-/// first-touch order — the shape [`AlphaL1SamplerInstance::apply_grouped`]
-/// consumes. Built once per chunk and shared across the amplified sampler's
-/// instances (each instance has its own scaling hashes, so only the
-/// grouping — not the scaled weights — can be shared).
-fn group_by_item(batch: &[Update]) -> Vec<(u64, Vec<i64>)> {
-    let mut order: Vec<(u64, Vec<i64>)> = Vec::new();
-    let mut index: std::collections::HashMap<u64, usize> =
-        std::collections::HashMap::with_capacity(batch.len().min(1024));
-    for u in batch {
-        if u.delta == 0 {
-            continue;
-        }
-        match index.entry(u.item) {
-            std::collections::hash_map::Entry::Occupied(e) => order[*e.get()].1.push(u.delta),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(order.len());
-                order.push((u.item, vec![u.delta]));
+/// A chunk's non-zero updates grouped by item, keeping per-update deltas
+/// and first-touch order — the shape
+/// [`AlphaL1SamplerInstance::apply_grouped`] consumes. Built once per chunk
+/// and shared across the amplified sampler's instances (each instance has
+/// its own scaling hashes, so only the grouping — not the scaled weights —
+/// can be shared); the item list and its index are what the candidate
+/// pass scores and looks members up in.
+struct GroupedChunk {
+    /// The distinct items, in first-touch order.
+    items: Vec<u64>,
+    /// Each item's deltas in stream order, parallel to `items`.
+    deltas: Vec<Vec<i64>>,
+    /// Each item's position in `items`.
+    index: HashMap<u64, usize>,
+}
+
+impl GroupedChunk {
+    fn new(batch: &[Update]) -> Self {
+        let mut chunk = GroupedChunk {
+            items: Vec::new(),
+            deltas: Vec::new(),
+            index: HashMap::with_capacity(batch.len().min(1024)),
+        };
+        for u in batch {
+            if u.delta == 0 {
+                continue;
+            }
+            match chunk.index.entry(u.item) {
+                std::collections::hash_map::Entry::Occupied(e) => {
+                    chunk.deltas[*e.get()].push(u.delta)
+                }
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    e.insert(chunk.items.len());
+                    chunk.items.push(u.item);
+                    chunk.deltas.push(vec![u.delta]);
+                }
             }
         }
+        chunk
     }
-    order
 }
 
 impl SampleQuery for AlphaL1SamplerInstance {
@@ -296,12 +320,14 @@ impl Sketch for AlphaL1Sampler {
 
     /// Batched ingestion: the chunk is grouped by item *once* and replayed
     /// into every instance, so the `O(ε⁻¹ log 1/δ)` copies share the
-    /// grouping pass and each pays only its own per-distinct-item `1/t_i`
-    /// evaluation and weighted CSSS updates.
+    /// grouping pass, item list and index, and each pays only its own
+    /// per-distinct-item `1/t_i` evaluation, weighted CSSS updates and
+    /// candidate scores.
     fn update_batch(&mut self, batch: &[Update]) {
-        let grouped = group_by_item(batch);
+        let chunk = GroupedChunk::new(batch);
+        let mut scores = Vec::with_capacity(chunk.items.len());
         for inst in &mut self.instances {
-            inst.apply_grouped(&grouped);
+            inst.apply_grouped(&chunk, &mut scores);
         }
     }
 }
@@ -360,7 +386,6 @@ mod tests {
     use super::*;
     use bd_stream::gen::StrongAlphaGen;
     use bd_stream::FrequencyVector;
-    use std::collections::HashMap;
 
     #[test]
     fn output_distribution_tracks_l1() {
@@ -459,6 +484,71 @@ mod tests {
         }
         tv /= 2.0;
         assert!(tv < 0.35, "batched-path TV distance {tv}");
+    }
+
+    /// One chunk through the per-item reference: the same grouping, scaled
+    /// weights and CSSS updates as `apply_grouped`, then one
+    /// `CandidateSet::offer` per distinct item, scored by scalar
+    /// `Csss::estimate`.
+    fn per_item_offer_chunk(inst: &mut AlphaL1SamplerInstance, batch: &[Update]) {
+        let chunk = GroupedChunk::new(batch);
+        for (item, deltas) in chunk.items.iter().zip(&chunk.deltas) {
+            let inv_t = inst.ts.inv_t(*item);
+            let (mut wpos, mut wneg) = (0u64, 0u64);
+            for &delta in deltas {
+                let w = ((delta.unsigned_abs() as f64 * inv_t).round() as u64).max(1);
+                if delta > 0 {
+                    wpos += w;
+                } else {
+                    wneg += w;
+                }
+                inst.r += delta;
+            }
+            for (w, positive) in [(wpos, true), (wneg, false)] {
+                if w > 0 {
+                    inst.cs1.update_weighted(*item, w, positive);
+                    inst.cs2.update_weighted(*item, w, positive);
+                    inst.q += w;
+                }
+            }
+        }
+        let cs = &inst.cs1;
+        for &item in &chunk.items {
+            inst.candidates.offer(item, |i| cs.estimate(i));
+        }
+    }
+
+    fn state_bytes(inst: &AlphaL1SamplerInstance) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        inst.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn batched_candidates_match_per_item_offers() {
+        // cap = 4k = 16 at ε = 0.25: a flat popularity curve puts more than
+        // 2·cap distinct items in every chunk, so every chunk prunes, and a
+        // small sample constant makes both CSSS substrates thin early.
+        let mut gen = bd_stream::gen::BoundedDeletionGen::new(1 << 16, 20_000, 3.0);
+        gen.zipf_s = 0.6;
+        gen.distinct = 8192;
+        let stream = gen.generate_seeded(92);
+        let mut params = Params::practical(stream.n, 0.25, 3.0);
+        params.sample_const = 0.125;
+        for chunk in [4096, 1000, 37] {
+            let mut batched = AlphaL1SamplerInstance::new(93, &params);
+            let mut reference = batched.clone();
+            for (c, updates) in stream.updates.chunks(chunk).enumerate() {
+                batched.update_batch(updates);
+                per_item_offer_chunk(&mut reference, updates);
+                assert!(
+                    state_bytes(&batched) == state_bytes(&reference),
+                    "chunk={chunk}: state diverged at chunk {c}"
+                );
+            }
+            assert!(batched.cs1.level() >= 3, "CSSS never thinned");
+            assert_eq!(batched.query(), reference.query());
+        }
     }
 
     #[test]

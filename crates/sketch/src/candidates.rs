@@ -14,21 +14,23 @@ use std::collections::HashSet;
 pub struct CandidateSet {
     cap: usize,
     items: HashSet<u64>,
-    /// Reusable prune-pass buffers (no semantic state).
-    keys: Vec<u64>,
-    scored: Vec<(u64, f64)>,
+    /// Reusable prune-pass buffers (no semantic state): scored members,
+    /// with their chunk position for [`CandidateSet::offer_chunk`].
+    live: Vec<(u64, f64, usize)>,
+    held: Vec<bool>,
+    outside: Vec<u64>,
     scores: Vec<f64>,
 }
+
+/// `live` entries that are not chunk items.
+const NOT_IN_CHUNK: usize = usize::MAX;
 
 impl CandidateSet {
     /// Create with capacity `cap ≥ 1`.
     pub fn new(cap: usize) -> Self {
         CandidateSet {
             cap: cap.max(1),
-            items: HashSet::new(),
-            keys: Vec::new(),
-            scored: Vec::new(),
-            scores: Vec::new(),
+            ..Default::default()
         }
     }
 
@@ -39,50 +41,88 @@ impl CandidateSet {
     pub fn offer<F: Fn(u64) -> f64>(&mut self, item: u64, score: F) {
         self.items.insert(item);
         if self.items.len() > 2 * self.cap {
-            self.prune(|items, out| out.extend(items.iter().map(|&i| score(i))));
+            self.live.clear();
+            self.live.extend(
+                self.items
+                    .iter()
+                    .map(|&i| (i, score(i).abs(), NOT_IN_CHUNK)),
+            );
+            keep_top(&mut self.live, self.cap);
+            self.live.truncate(self.cap);
+            self.items.clear();
+            self.items.extend(self.live.iter().map(|e| e.0));
         }
     }
 
-    /// Offer a whole chunk of items with a *batched* scorer: prune passes
-    /// trigger exactly as under per-item [`CandidateSet::offer`] (the set
-    /// never exceeds `2·cap`), but each pass scores the entire set through
-    /// one `score_many(items, out)` call — the hook the batched ingest
-    /// paths use to evaluate all candidates in one multi-row hash pass
-    /// instead of `2·cap` scalar point queries.
-    pub fn offer_chunk<I, F>(&mut self, items: I, mut score_many: F)
+    /// Offer a chunk of *distinct* items whose scores are already known,
+    /// with every prune pass scoring from a table built once per chunk.
+    ///
+    /// `scores[i]` is the score of the chunk's `i`-th item and
+    /// `index_of(item)` its position in the chunk, if it has one. Members
+    /// held from earlier chunks that are not in this one are scored by a
+    /// single `score_many(members, out)` call. The chunk is then replayed
+    /// in order: prune passes fire at exactly the offers, and keep exactly
+    /// the items, that per-item [`CandidateSet::offer`] calls would under
+    /// the same scores — so a caller whose scores come from settled
+    /// counters gets a bit-identical set for one score per item instead of
+    /// `2·cap` per prune pass.
+    pub fn offer_chunk<I, L, F>(&mut self, chunk: I, scores: &[f64], index_of: L, score_many: F)
     where
         I: IntoIterator<Item = u64>,
-        F: FnMut(&[u64], &mut Vec<f64>),
+        L: Fn(u64) -> Option<usize>,
+        F: FnOnce(&[u64], &mut Vec<f64>),
     {
-        for item in items {
-            self.items.insert(item);
-            if self.items.len() > 2 * self.cap {
-                self.prune(&mut score_many);
+        let Self {
+            cap,
+            items,
+            live,
+            held,
+            outside,
+            scores: outside_scores,
+        } = self;
+        held.clear();
+        held.resize(scores.len(), false);
+        live.clear();
+        outside.clear();
+        for &m in items.iter() {
+            match index_of(m) {
+                Some(i) => {
+                    held[i] = true;
+                    live.push((m, scores[i].abs(), i));
+                }
+                None => outside.push(m),
             }
         }
-    }
-
-    /// One prune pass: re-score everything, keep the top `cap` by `|score|`.
-    /// All buffers are reused across passes — zero steady-state allocations.
-    fn prune<F: FnMut(&[u64], &mut Vec<f64>)>(&mut self, mut score_many: F) {
-        self.keys.clear();
-        self.keys.extend(self.items.iter().copied());
-        // Deterministic scoring order regardless of HashSet iteration.
-        self.keys.sort_unstable();
-        self.scores.clear();
-        score_many(&self.keys, &mut self.scores);
-        self.scored.clear();
-        self.scored.extend(
-            self.keys
-                .iter()
-                .copied()
-                .zip(self.scores.iter().map(|s| s.abs())),
-        );
-        self.scored
-            .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-        self.scored.truncate(self.cap);
-        self.items.clear();
-        self.items.extend(self.scored.iter().map(|&(i, _)| i));
+        if !outside.is_empty() {
+            outside_scores.clear();
+            score_many(outside, outside_scores);
+            live.extend(
+                outside
+                    .iter()
+                    .zip(outside_scores.iter())
+                    .map(|(&m, s)| (m, s.abs(), NOT_IN_CHUNK)),
+            );
+        }
+        for (i, item) in chunk.into_iter().enumerate() {
+            if held[i] {
+                continue;
+            }
+            held[i] = true;
+            live.push((item, scores[i].abs(), i));
+            if live.len() > 2 * *cap {
+                keep_top(live, *cap);
+                // A held member evicted before its own offer comes up is
+                // inserted again there, as a per-item offer would.
+                for &(_, _, at) in &live[*cap..] {
+                    if at != NOT_IN_CHUNK {
+                        held[at] = false;
+                    }
+                }
+                live.truncate(*cap);
+            }
+        }
+        items.clear();
+        items.extend(live.iter().map(|e| e.0));
     }
 
     /// Offer every item of `other`, in ascending item order, as under
@@ -149,6 +189,18 @@ impl CandidateSet {
     }
 }
 
+/// Move the top `cap` of more than `cap` entries by `|score|` (descending,
+/// ties to the smallest item id) to the front of `entries`, leaving the
+/// rest behind them. Ids are distinct, so the order is strict and total:
+/// the kept set does not depend on the order `entries` arrive in.
+fn keep_top(entries: &mut [(u64, f64, usize)], cap: usize) {
+    entries.select_nth_unstable_by(cap, |a, b| {
+        b.1.partial_cmp(&a.1)
+            .expect("candidate scores are never NaN")
+            .then(a.0.cmp(&b.0))
+    });
+}
+
 impl SketchState for CandidateSet {
     /// Mutable state: the candidate items, encoded sorted (the prune buffers
     /// are scratch). Restoring inserts without a prune pass, so the set is
@@ -208,6 +260,38 @@ mod tests {
         }
         assert_eq!(c.argmax(score), Some(10));
         assert_eq!(c.top_k(1, score)[0].0, 10);
+    }
+
+    #[test]
+    fn offer_chunk_matches_per_item_offers() {
+        // Few distinct |scores| force id tie-breaks; each chunk covers
+        // about half of a 41-item universe, so held members sit both in
+        // and outside it, and some are evicted before their own offer.
+        let score = |i: u64| ((i * 7919) % 5) as f64 - 2.0;
+        let mut batched = CandidateSet::new(4);
+        let mut reference = batched.clone();
+        for c in 0..40u64 {
+            let chunk: Vec<u64> = (0..23).map(|j| (c * 3 + j * 7) % 41).collect();
+            let mut chunk_ids = chunk.clone();
+            chunk_ids.sort_unstable();
+            chunk_ids.dedup();
+            assert_eq!(chunk_ids.len(), chunk.len(), "chunk items are distinct");
+            let scores: Vec<f64> = chunk.iter().map(|&i| score(i)).collect();
+            batched.offer_chunk(
+                chunk.iter().copied(),
+                &scores,
+                |i| chunk.iter().position(|&x| x == i),
+                |members, out| out.extend(members.iter().map(|&i| score(i))),
+            );
+            for &i in &chunk {
+                reference.offer(i, score);
+            }
+            let mut a: Vec<u64> = batched.iter().collect();
+            let mut b: Vec<u64> = reference.iter().collect();
+            a.sort_unstable();
+            b.sort_unstable();
+            assert_eq!(a, b, "chunk {c}");
+        }
     }
 
     #[test]

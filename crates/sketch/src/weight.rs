@@ -98,11 +98,35 @@ impl Weight for f64 {
     }
 }
 
+/// Slices up to this length take [`median_f64`]'s rank count.
+const RANK_COUNT_MAX: usize = 16;
+
 /// Median of a slice by `f64` ordering; for even lengths returns the lower
-/// median (the convention used throughout the sketch literature).
+/// median (the convention used throughout the sketch literature). Panics
+/// on NaN.
+///
+/// Up to 16 values the result is the middle element of a stable sort:
+/// the value whose stable rank (values below it, plus equal values before
+/// it; `+0.0` and `−0.0` compare equal) is the middle index, so the sign
+/// of a zero median is fixed here, not by the standard library. Counting ranks has no data-dependent swaps, which
+/// makes it faster than selection at the depths of the per-row medians
+/// that sketch tables take (about 9). Longer slices are reordered by
+/// `select_nth_unstable_by`, which returns an equal value but may pick
+/// either zero.
 pub fn median_f64(values: &mut [f64]) -> f64 {
     assert!(!values.is_empty(), "median of empty slice");
     let mid = (values.len() - 1) / 2;
+    if values.len() <= RANK_COUNT_MAX {
+        assert!(values.iter().all(|v| !v.is_nan()), "NaN in median");
+        for (i, &v) in values.iter().enumerate() {
+            let below = values.iter().filter(|&&x| x < v).count();
+            let tied_before = values[..i].iter().filter(|&&x| x == v).count();
+            if below + tied_before == mid {
+                return v;
+            }
+        }
+        unreachable!("stable ranks are a permutation of the indices");
+    }
     values
         .select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("NaN in median"))
         .1
@@ -112,6 +136,8 @@ pub fn median_f64(values: &mut [f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn weight_ops_i64() {
@@ -139,5 +165,36 @@ mod tests {
         assert_eq!(median_f64(&mut v), 2.0); // lower median
         let mut v = [9.0];
         assert_eq!(median_f64(&mut v), 9.0);
+    }
+
+    #[test]
+    fn median_is_the_stable_sort_middle() {
+        // Zeros of both signs and repeated values, at every length up to
+        // past the rank count: bit for bit the middle of a stable sort
+        // while the rank count decides, an equal value beyond it.
+        let mut rng = SmallRng::seed_from_u64(8);
+        let pool = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 64.0];
+        for len in 1..=RANK_COUNT_MAX + 4 {
+            for _ in 0..3000 {
+                let v: Vec<f64> = (0..len)
+                    .map(|_| pool[rng.gen_range(0..pool.len() as u64) as usize])
+                    .collect();
+                let mut sorted = v.clone();
+                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                let want = sorted[(len - 1) / 2];
+                let got = median_f64(&mut v.clone());
+                if len <= RANK_COUNT_MAX {
+                    assert_eq!(got.to_bits(), want.to_bits(), "{v:?}");
+                } else {
+                    assert_eq!(got, want, "{v:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in median")]
+    fn median_rejects_nan() {
+        median_f64(&mut [1.0, f64::NAN, 0.0]);
     }
 }

@@ -244,6 +244,21 @@ impl BatchScratch {
         }
     }
 
+    /// The output of the last [`BatchScratch::aggregate_signed_mass`] call,
+    /// readable beside [`BatchScratch::index_of`].
+    pub fn signed_mass(&self) -> &[(Item, u64, u64)] {
+        &self.signed
+    }
+
+    /// Position of `key` in the output of the last aggregation, if that
+    /// chunk touched it: one probe of the table the aggregation filled.
+    pub fn index_of(&self, key: Item) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(key).ok().map(|idx| idx as usize)
+    }
+
     /// [`aggregate_net`], reusing this scratch's buffers. The returned slice
     /// lives in the scratch and is overwritten by the next aggregation.
     pub fn aggregate_net(&mut self, batch: &[Update]) -> &[(Item, i64)] {
