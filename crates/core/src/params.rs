@@ -17,7 +17,7 @@
 //! experiment binaries in `bd-bench` (`e1`–`e14`, `DESIGN.md §5`) measure
 //! the guarantees that hold under it. In the spec layer, the two regimes
 //! are `regime=theory` / `regime=practical`, and
-//! [`Params::from_spec`](crate::registry) derives a `Params` from any
+//! [`Params::from_spec`](mod@crate::registry) derives a `Params` from any
 //! [`bd_stream::SketchSpec`].
 
 /// Shared sizing inputs for the α-property algorithms.

@@ -25,8 +25,8 @@
 //! when the ingest source ends).
 
 use crate::query::{QueryError, SnapshotHandle};
-use crate::wire::{write_frame, ErrorCode, Request, Response, WireReport, MAX_FRAME};
-use std::io::{self, Read};
+use crate::wire::{read_frame_until, write_frame, ErrorCode, Request, Response, WireReport};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Mutex};
@@ -39,10 +39,6 @@ const READ_TICK: Duration = Duration::from_millis(50);
 
 /// How long the accept loop sleeps when no connection is pending.
 const ACCEPT_TICK: Duration = Duration::from_millis(10);
-
-/// Idle ticks a connection is allowed to sit mid-frame after the stop flag
-/// rises before the server gives up on it (~1 s).
-const DRAIN_TICKS: u32 = 20;
 
 /// The TCP query server: accepts connections and answers the wire protocol
 /// from the newest published epoch snapshot.
@@ -175,84 +171,6 @@ fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
     }
 }
 
-/// Read one frame with the connection's read timeout as the polling tick:
-/// between frames, a timeout just rechecks the stop flag; mid-frame, the
-/// peer gets [`DRAIN_TICKS`] grace ticks after stop (or stalling) before
-/// the read fails. `Ok(false)` = clean close or stop-between-frames.
-fn read_frame_ticking(
-    sock: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    stop: &AtomicBool,
-) -> io::Result<bool> {
-    let mut len_bytes = [0u8; 4];
-    let mut filled = 0usize;
-    let mut idle_after_stop = 0u32;
-    while filled < 4 {
-        if filled == 0 && stop.load(SeqCst) {
-            return Ok(false);
-        }
-        match sock.read(&mut len_bytes[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(false)
-                } else {
-                    Err(io::ErrorKind::UnexpectedEof.into())
-                };
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if filled > 0 && stop.load(SeqCst) {
-                    idle_after_stop += 1;
-                    if idle_after_stop > DRAIN_TICKS {
-                        return Err(io::ErrorKind::TimedOut.into());
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len == 0 || len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} out of range (cap {MAX_FRAME})"),
-        ));
-    }
-    buf.clear();
-    buf.resize(len, 0);
-    let mut got = 0usize;
-    while got < len {
-        match sock.read(&mut buf[got..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if stop.load(SeqCst) {
-                    idle_after_stop += 1;
-                    if idle_after_stop > DRAIN_TICKS {
-                        return Err(io::ErrorKind::TimedOut.into());
-                    }
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
 /// One connection's request/response loop.
 fn serve_connection(
     mut sock: TcpStream,
@@ -267,7 +185,9 @@ fn serve_connection(
     let mut frame = Vec::new();
     let mut payload = Vec::new();
     let mut scratch = Vec::new();
-    while read_frame_ticking(&mut sock, &mut frame, &stop)? {
+    // The read timeout is the stop flag's polling tick; a peer stalled
+    // mid-frame after stop gets `DRAIN_TICKS` of them (~1 s).
+    while read_frame_until(&mut sock, &mut frame, Some(&stop))? {
         // A malformed frame closes this connection (clean close, no panic);
         // the error is not answerable — the framing itself is broken.
         let req = match Request::decode(&frame) {
@@ -399,6 +319,7 @@ mod tests {
     use crate::space::SpaceReport;
     use crate::spec::{SketchFamily, SketchSpec};
     use crate::vector::FrequencyVector;
+    use std::io::Read as _;
     use std::io::Write as _;
 
     fn hub_with_values(stamp: usize, values: &[(u64, i64)]) -> SnapshotHub {

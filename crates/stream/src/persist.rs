@@ -1,39 +1,50 @@
 //! Snapshot persistence: epochs that survive a restart.
 //!
 //! The durability unit is the epoch cut. Every scheduled cut already
-//! produces an immutable [`Snapshot`] (merged sketch + [`EpochReport`]);
-//! this module gives that pair a **versioned, seed-and-spec-stamped binary
-//! encoding** and a crash-tolerant on-disk store, so a
-//! [`StreamService`](crate::service::StreamService) can cold-start from the
-//! last valid snapshot and replay only the stream tail after its epoch
-//! stamp.
+//! produces an immutable [`Snapshot`](crate::service::Snapshot) (merged
+//! sketch + [`EpochReport`]); this module gives that pair a **versioned,
+//! seed-and-spec-stamped binary encoding** and a crash-tolerant on-disk
+//! store, so a [`StreamService`](crate::service::StreamService) can
+//! cold-start from the last valid snapshot and replay only the stream tail
+//! after its epoch stamp.
 //!
-//! Two envelopes, both following the wire layer's conventions
-//! (little-endian integers, floats as `to_bits`, length prefixes, strict
-//! decoding with typed errors):
+//! It also owns how durable bytes are framed and checksummed. Snapshot
+//! files and WAL segment headers ([`crate::wal`]) share one envelope,
+//! written by `seal` and opened by `open`:
+//!
+//! ```text
+//! [ magic: 4 ][ version: u16 ][ len: u32 ][ body: len bytes ][ CRC-32C of everything before it: u32 ]
+//! ```
+//!
+//! `open` checks magic, version, the caller's length cap, the input's
+//! length, then the [`crc32c`], each failure its own [`PersistError`].
+//! All integers are little-endian and floats travel as `to_bits`, in the
+//! [`StateWriter`] vocabulary.
 //!
 //! * **Sketch blob** (`BDSK`): magic, format version, the full
-//!   [`SketchSpec`](crate::spec::SketchSpec) display string (which embeds
+//!   [`SketchSpec`] display string (which embeds
 //!   the seed — a wrong-seed file *is* a wrong-spec file), then the
 //!   family's [`SketchState`](crate::state::SketchState) encoding. Decoding
 //!   rebuilds the sketch from the stamped spec through the registry — the
 //!   same type-checked path `merge_dyn` uses — and overwrites only the
 //!   mutable state, so shapes and hash functions can never desynchronize
-//!   from the construction path.
-//! * **Snapshot file** (`BDSN`): magic, version, a length-prefixed payload
-//!   (capped at [`MAX_SNAPSHOT`]), and a trailing CRC-32. The payload
-//!   stamps the spec string, the service-config string, the epoch position
-//!   (epoch index, ingested prefix length, *offered* stream position — the
-//!   replay cursor), the cumulative accounting of the [`EpochReport`], and
-//!   the sketch blob.
+//!   from the construction path. The blob carries no checksum of its own:
+//!   on disk it only ever lives inside a checksummed snapshot file.
+//! * **Snapshot file** (`BDSN`, format [`PERSIST_VERSION`]): the envelope
+//!   around a payload capped at [`MAX_SNAPSHOT`]. The payload stamps the
+//!   service-config string, the epoch position (epoch index, ingested
+//!   prefix length, *offered* stream position — the replay cursor), the
+//!   cumulative accounting of the [`EpochReport`], and closes with the
+//!   sketch blob, whose header is the file's one spec stamp.
 //!
 //! [`SnapshotStore`] writes one file per epoch (`epoch-NNNNNNNN.bdsnap`)
-//! via a temp-file + rename, and [`SnapshotStore::load_latest`] scans
-//! newest-first, skipping invalid files — a torn final write simply falls
-//! back to the previous epoch. Recovery correctness (persist → restart →
-//! replay-tail ≡ uninterrupted) is pinned by `tests/recovery.rs`; the
-//! round-trip law (`from_bytes(to_bytes(s))` bit-identical) by
-//! `tests/conformance.rs`.
+//! via a synced temp file + rename, and [`SnapshotStore::load_latest`]
+//! scans newest-first, skipping torn or corrupt files — a bad final write
+//! simply falls back to the previous epoch — but stopping at a file of
+//! another format version, which this build must neither read nor
+//! overwrite. Recovery correctness (persist → restart → replay-tail ≡
+//! uninterrupted) is pinned by `tests/recovery.rs`; the round-trip law
+//! (`from_bytes(to_bytes(s))` bit-identical) by `tests/conformance.rs`.
 
 use crate::registry::{DynSketch, Registry, RegistryError};
 use crate::service::EpochReport;
@@ -48,7 +59,7 @@ use std::time::Duration;
 
 /// Crash-point fault injection for the durability tests.
 ///
-/// A "crash" in-process: an armed [`FaultInjector`] makes the durable
+/// A "crash" in-process: an armed [`FaultInjector`](fault::FaultInjector) makes the durable
 /// write path stop — or tear — at a chosen point, then poisons every
 /// further persistence operation with
 /// [`PersistError::FaultInjected`], so dropping the service afterwards
@@ -219,10 +230,11 @@ pub const SKETCH_MAGIC: [u8; 4] = *b"BDSK";
 /// Magic tag opening a snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"BDSN";
 
-/// Format version stamped into both envelopes. Decoders reject anything
-/// newer ([`PersistError::UnsupportedVersion`]); bumping this is the
-/// contract for any layout change.
-pub const PERSIST_VERSION: u16 = 1;
+/// Format version stamped into snapshot files and sketch blobs. Decoders
+/// reject any other ([`PersistError::UnsupportedVersion`]); bumping this is
+/// the contract for any layout change. Version 2 moved snapshot files onto
+/// the CRC-32C envelope and stamps the spec once, in the sketch blob.
+pub const PERSIST_VERSION: u16 = 2;
 
 /// Hard cap on a snapshot payload or sketch state blob. Snapshots carry
 /// whole sketch tables, so the cap is wider than the wire layer's 1 MiB
@@ -240,12 +252,14 @@ pub enum PersistError {
     Io(String),
     /// The blob doesn't open with the expected magic tag.
     BadMagic,
-    /// The blob's format version is newer than this build understands.
+    /// The blob's format version is not the one this build writes.
     UnsupportedVersion(u16),
-    /// A length header exceeds [`MAX_SNAPSHOT`].
+    /// A length header exceeds its cap ([`MAX_SNAPSHOT`] for snapshots,
+    /// [`MAX_WAL_RECORD`](crate::wal::MAX_WAL_RECORD) for WAL segment
+    /// headers).
     Oversized(u64),
-    /// The snapshot file's CRC-32 doesn't match its payload (bit flips,
-    /// torn writes).
+    /// An envelope's CRC-32C doesn't match its bytes (bit flips, torn
+    /// writes).
     ChecksumMismatch,
     /// The stamped spec string failed to parse.
     BadSpec(String),
@@ -287,9 +301,7 @@ impl fmt::Display for PersistError {
             PersistError::UnsupportedVersion(v) => {
                 write!(f, "snapshot format version {v} is not supported")
             }
-            PersistError::Oversized(n) => {
-                write!(f, "snapshot length {n} exceeds the {MAX_SNAPSHOT}-byte cap")
-            }
+            PersistError::Oversized(n) => write!(f, "length {n} exceeds its cap"),
             PersistError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
             PersistError::BadSpec(e) => write!(f, "snapshot spec stamp failed to parse: {e}"),
             PersistError::SpecMismatch { expected, found } => {
@@ -330,11 +342,12 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// Slicing-by-8 lookup tables for a reflected CRC-32 with polynomial
-/// `poly`, built at compile time. `t[0]` is the classic byte-at-a-time
+/// Slicing-by-8 lookup tables for the reflected CRC-32C (Castagnoli)
+/// polynomial, built at compile time. `t[0]` is the classic byte-at-a-time
 /// table; `t[j]` advances a byte through `j` further zero bytes, letting
 /// the hot loop fold eight input bytes per iteration.
-const fn crc_tables(poly: u32) -> [[u32; 256]; 8] {
+const fn crc_tables() -> [[u32; 256]; 8] {
+    const POLY: u32 = 0x82F6_3B78;
     let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
@@ -342,7 +355,7 @@ const fn crc_tables(poly: u32) -> [[u32; 256]; 8] {
         let mut k = 0;
         while k < 8 {
             let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (poly & mask);
+            crc = (crc >> 1) ^ (POLY & mask);
             k += 1;
         }
         t[0][i] = crc;
@@ -361,8 +374,7 @@ const fn crc_tables(poly: u32) -> [[u32; 256]; 8] {
     t
 }
 
-const CRC32_TABLE: [[u32; 256]; 8] = crc_tables(0xEDB8_8320); // IEEE 802.3
-const CRC32C_TABLE: [[u32; 256]; 8] = crc_tables(0x82F6_3B78); // Castagnoli
+const CRC32C_TABLE: [[u32; 256]; 8] = crc_tables();
 
 /// One slicing-by-8 step over the `chunks_exact(8)` stream.
 #[inline]
@@ -379,26 +391,12 @@ fn crc_slice8(t: &[[u32; 256]; 8], crc: u32, c: &[u8]) -> u32 {
         ^ t[0][(hi >> 24) as usize]
 }
 
-/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), slicing-by-8 — the
-/// `.bdsnap` snapshot checksum (one blob per epoch, format fixed since
-/// it first shipped).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        crc = crc_slice8(&CRC32_TABLE, crc, c);
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ CRC32_TABLE[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-/// CRC-32C (Castagnoli) — the WAL frame checksum. The log checksums
-/// every dispatched cell on the ingest hot path, so the polynomial is
-/// chosen for the x86 `crc32` instruction (SSE4.2, ~5× the table loop on
-/// the machines this serves); elsewhere it falls back to the same
-/// slicing-by-8 scheme as [`crc32`].
+/// CRC-32C (Castagnoli) — the one checksum of durable bytes: snapshot
+/// files, WAL segment headers, and every WAL record frame. The log
+/// checksums every dispatched cell on the ingest hot path, so the
+/// polynomial is chosen for the x86 `crc32` instruction (SSE4.2, ~5× the
+/// table loop on the machines this serves); elsewhere it falls back to a
+/// slicing-by-8 table loop.
 pub fn crc32c(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sse4.2") {
@@ -434,6 +432,53 @@ fn crc32c_sw(bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ CRC32C_TABLE[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
+}
+
+/// Frame `body` in the durable envelope: `magic | u16 version | u32 len |
+/// body | CRC-32C` of everything before the checksum. The caller keeps
+/// `body` within the cap its [`open`] will enforce.
+pub(crate) fn seal(magic: [u8; 4], version: u16, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + 2 + 4 + body.len() + 4);
+    out.extend_from_slice(&magic);
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(body);
+    let crc = crc32c(&out);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// Open an envelope written by [`seal`], returning its body and the bytes
+/// after it. Checks, in order and each with its own error: the magic
+/// ([`PersistError::BadMagic`]), the version
+/// ([`PersistError::UnsupportedVersion`]), the length against `cap`
+/// ([`PersistError::Oversized`], before anything is sliced), that the
+/// input holds the whole envelope (`State(Truncated)`), and the checksum
+/// ([`PersistError::ChecksumMismatch`]).
+pub(crate) fn open(
+    magic: [u8; 4],
+    version: u16,
+    cap: usize,
+    bytes: &[u8],
+) -> Result<(&[u8], &[u8]), PersistError> {
+    let mut r = StateReader::new(bytes);
+    if r.bytes(4).map_err(|_| PersistError::BadMagic)? != magic {
+        return Err(PersistError::BadMagic);
+    }
+    let found = r.u16()?;
+    if found != version {
+        return Err(PersistError::UnsupportedVersion(found));
+    }
+    let len = r.u32()? as usize;
+    if len > cap {
+        return Err(PersistError::Oversized(len as u64));
+    }
+    let body = r.bytes(len)?;
+    let stored = r.u32()?;
+    if crc32c(&bytes[..4 + 2 + 4 + len]) != stored {
+        return Err(PersistError::ChecksumMismatch);
+    }
+    Ok((body, r.bytes(r.remaining())?))
 }
 
 /// Encode a sketch as a self-describing blob: magic, version, the spec
@@ -494,7 +539,7 @@ pub fn sketch_from_bytes(
 /// One decoded snapshot: everything a service needs to continue as if it
 /// had never stopped.
 pub struct SnapshotRecord {
-    /// The spec the sketches were built from (stamp-verified).
+    /// The spec the sketches were built from, as the sketch blob stamps it.
     pub spec: SketchSpec,
     /// The service-config display string in effect when the cut was taken.
     pub config: String,
@@ -521,8 +566,9 @@ fn duration_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Encode one epoch snapshot as a complete file image (header, payload,
-/// trailing CRC-32 over everything before it).
+/// Encode one epoch snapshot as a complete file image: the payload (the
+/// stamps and accounting, then the sketch blob) sealed in the CRC-32C
+/// envelope.
 pub fn encode_snapshot(
     spec: &SketchSpec,
     config: &str,
@@ -530,9 +576,7 @@ pub fn encode_snapshot(
     offered: u64,
     sketch: &dyn DynSketch,
 ) -> Result<Vec<u8>, PersistError> {
-    let blob = sketch_to_bytes(spec, sketch)?;
     let mut p = StateWriter::new();
-    p.str(&spec.to_string());
     p.str(config);
     // The epoch stamp: where the stream cursor stood at the cut.
     p.u64(report.epoch as u64);
@@ -559,58 +603,24 @@ pub fn encode_snapshot(
     p.u64(report.space.counter_bits);
     p.u64(report.space.seed_bits);
     p.u64(report.space.overhead_bits);
-    p.u32(blob.len() as u32);
-    p.bytes(&blob);
+    // The blob closes the payload, so it needs no length prefix.
+    p.bytes(&sketch_to_bytes(spec, sketch)?);
     let payload = p.into_bytes();
     if payload.len() > MAX_SNAPSHOT {
         return Err(PersistError::Oversized(payload.len() as u64));
     }
-    let mut w = StateWriter::new();
-    w.bytes(&SNAPSHOT_MAGIC);
-    w.u16(PERSIST_VERSION);
-    w.u32(payload.len() as u32);
-    w.bytes(&payload);
-    let crc = crc32(&w.into_bytes());
-    // Re-assemble: StateWriter gave up the buffer for the CRC pass.
-    let mut out = Vec::with_capacity(4 + 2 + 4 + payload.len() + 4);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&PERSIST_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc.to_le_bytes());
-    Ok(out)
+    Ok(seal(SNAPSHOT_MAGIC, PERSIST_VERSION, &payload))
 }
 
-/// Decode a snapshot file image produced by [`encode_snapshot`]: verify
-/// magic, version, length cap, and CRC, then rebuild the sketch through
-/// the registry. The blob's inner spec stamp must agree with the payload's
-/// outer stamp.
+/// Decode a snapshot file image produced by [`encode_snapshot`]: open the
+/// envelope (magic, version, length cap, CRC-32C), reject trailing bytes,
+/// then rebuild the sketch through the registry.
 pub fn decode_snapshot(registry: &Registry, bytes: &[u8]) -> Result<SnapshotRecord, PersistError> {
-    let mut r = StateReader::new(bytes);
-    if r.bytes(4).map_err(|_| PersistError::BadMagic)? != SNAPSHOT_MAGIC {
-        return Err(PersistError::BadMagic);
+    let (payload, rest) = open(SNAPSHOT_MAGIC, PERSIST_VERSION, MAX_SNAPSHOT, bytes)?;
+    if !rest.is_empty() {
+        return Err(StateError::TrailingBytes(rest.len()).into());
     }
-    let version = r.u16()?;
-    if version != PERSIST_VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
-    let len = r.u32()? as usize;
-    if len > MAX_SNAPSHOT {
-        return Err(PersistError::Oversized(len as u64));
-    }
-    let payload = r.bytes(len)?;
-    let stored_crc = r.u32()?;
-    r.finish()?;
-    let crc_span = 4 + 2 + 4 + len;
-    if crc32(&bytes[..crc_span]) != stored_crc {
-        return Err(PersistError::ChecksumMismatch);
-    }
-
     let mut p = StateReader::new(payload);
-    let spec_str = p.str()?;
-    let spec: SketchSpec = spec_str
-        .parse()
-        .map_err(|e| PersistError::BadSpec(format!("{e}")))?;
     let config = p.str()?;
     let epoch = p.u64()? as usize;
     let total_updates = p.u64()? as usize;
@@ -636,20 +646,7 @@ pub fn decode_snapshot(registry: &Registry, bytes: &[u8]) -> Result<SnapshotReco
         seed_bits: p.u64()?,
         overhead_bits: p.u64()?,
     };
-    let blob_len = p.u32()? as usize;
-    if blob_len > MAX_SNAPSHOT {
-        return Err(PersistError::Oversized(blob_len as u64));
-    }
-    let blob = p.bytes(blob_len)?;
-    p.finish()?;
-
-    let (blob_spec, sketch) = sketch_from_bytes(registry, blob)?;
-    if blob_spec != spec {
-        return Err(PersistError::SpecMismatch {
-            expected: spec.to_string(),
-            found: blob_spec.to_string(),
-        });
-    }
+    let (spec, sketch) = sketch_from_bytes(registry, p.bytes(p.remaining())?)?;
     let report = EpochReport {
         epoch,
         updates,
@@ -772,21 +769,8 @@ impl SnapshotStore {
 
     /// Every epoch with a snapshot file present, ascending.
     pub fn epochs(&self) -> Result<Vec<usize>, PersistError> {
-        let mut out = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if let Some(num) = name
-                .strip_prefix("epoch-")
-                .and_then(|r| r.strip_suffix(".bdsnap"))
-            {
-                if let Ok(e) = num.parse::<usize>() {
-                    out.push(e);
-                }
-            }
-        }
-        out.sort_unstable();
-        Ok(out)
+        let files = numbered_files(&self.dir, "epoch-", ".bdsnap")?;
+        Ok(files.into_iter().map(|(epoch, _)| epoch).collect())
     }
 
     /// Load and fully validate one epoch's snapshot.
@@ -803,14 +787,49 @@ impl SnapshotStore {
     /// for an empty (or wholly-invalid) store. Invalid files — a torn
     /// final write, a bit-flipped payload — are skipped, falling back to
     /// the previous epoch: this is the crash-tolerance contract.
+    ///
+    /// A file of another format version is
+    /// [`PersistError::UnsupportedVersion`], not skipped: it was written
+    /// by another build, and falling back past it would let this one
+    /// overwrite that build's epochs. A crash cannot leave such a header
+    /// behind, because [`SnapshotStore::save`] only renames a synced file
+    /// into place.
     pub fn load_latest(&self, registry: &Registry) -> Result<Option<SnapshotRecord>, PersistError> {
         for epoch in self.epochs()?.into_iter().rev() {
-            if let Ok(rec) = self.load_epoch(registry, epoch) {
-                return Ok(Some(rec));
+            match self.load_epoch(registry, epoch) {
+                Ok(rec) => return Ok(Some(rec)),
+                Err(e @ PersistError::UnsupportedVersion(_)) => return Err(e),
+                Err(_) => {}
             }
         }
         Ok(None)
     }
+}
+
+/// Every `{prefix}N{suffix}` file in `dir` with its number `N`, ascending
+/// by `N` — the one directory scan behind snapshot epochs and WAL
+/// segments. Names that don't match are ignored.
+pub(crate) fn numbered_files<N: std::str::FromStr + Ord>(
+    dir: &Path,
+    prefix: &str,
+    suffix: &str,
+) -> Result<Vec<(N, PathBuf)>, PersistError> {
+    let mut out = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let number = name.to_str().and_then(|n| {
+            n.strip_prefix(prefix)?
+                .strip_suffix(suffix)?
+                .parse::<N>()
+                .ok()
+        });
+        if let Some(n) = number {
+            out.push((n, entry.path()));
+        }
+    }
+    out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -833,13 +852,6 @@ mod tests {
             sk.update(t % 13, if t % 3 == 0 { -1 } else { 2 });
         }
         (spec, sk)
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // The canonical check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

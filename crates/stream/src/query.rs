@@ -17,7 +17,7 @@
 //!   publication, so a view never observes a partial merge or a mid-epoch
 //!   state).
 //! * [`QueryEngine`] — the query surface over a view: point queries (batched
-//!   through the [`PointQueryBatch`] capability where the family supports
+//!   through the [`PointQueryBatch`](crate::sketch::PointQueryBatch) capability where the family supports
 //!   it, scalar fallback elsewhere), norms, support, and a threshold
 //!   heavy-hitters scan, all driven by the registry's capability views.
 //!

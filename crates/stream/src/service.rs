@@ -860,7 +860,10 @@ impl StreamService {
     /// the rest (pinned by `tests/recovery.rs`).
     ///
     /// An empty (or wholly-invalid) store is not an error: the service
-    /// starts fresh with the store attached and `replay_from() == 0`.
+    /// starts fresh with the store attached and `replay_from() == 0`. A
+    /// snapshot of another format version is an error
+    /// ([`PersistError::UnsupportedVersion`]), not skipped: starting fresh
+    /// would overwrite that build's epochs.
     pub fn recover(
         registry: &Registry,
         spec: &SketchSpec,
@@ -871,20 +874,7 @@ impl StreamService {
         let mut svc = StreamService::start(registry, spec, config)
             .map_err(|e| ServiceError::Persist(PersistError::Registry(e)))?;
         if let Some(rec) = rec {
-            if rec.spec != *spec {
-                return Err(PersistError::SpecMismatch {
-                    expected: spec.to_string(),
-                    found: rec.spec.to_string(),
-                }
-                .into());
-            }
-            if rec.config != svc.config.geometry_string() {
-                return Err(PersistError::ConfigMismatch {
-                    expected: svc.config.geometry_string(),
-                    found: rec.config,
-                }
-                .into());
-            }
+            svc.check_stamps(&rec.spec.to_string(), &rec.config)?;
             let offered =
                 usize::try_from(rec.offered).map_err(|_| PersistError::Oversized(rec.offered))?;
             // Re-assemble with worker 0 seeded by the restored merged sketch
@@ -963,8 +953,6 @@ impl StreamService {
         if segments.is_empty() {
             return Ok((sealed, max_seq));
         }
-        let spec_stamp = self.spec.to_string();
-        let geometry = self.config.geometry_string();
         self.replaying = true;
         let mut intact = true;
         let last_idx = segments.len() - 1;
@@ -986,22 +974,8 @@ impl StreamService {
                     continue;
                 }
             };
-            if scan.header.spec != spec_stamp {
-                self.replaying = false;
-                return Err(PersistError::SpecMismatch {
-                    expected: spec_stamp,
-                    found: scan.header.spec,
-                }
-                .into());
-            }
-            if scan.header.config != geometry {
-                self.replaying = false;
-                return Err(PersistError::ConfigMismatch {
-                    expected: geometry,
-                    found: scan.header.config,
-                }
-                .into());
-            }
+            self.check_stamps(&scan.header.spec, &scan.header.config)
+                .inspect_err(|_| self.replaying = false)?;
             let mut seg_end = scan.header.start_offered;
             for rec in scan.records {
                 let end = rec.end_offered();
@@ -1056,6 +1030,29 @@ impl StreamService {
         self.replaying = false;
         drained?;
         Ok((sealed, max_seq))
+    }
+
+    /// Refuse durable state stamped with another spec or dispatch
+    /// geometry: [`PersistError::SpecMismatch`] (the spec string embeds
+    /// the seed, and spec strings round-trip exactly) or
+    /// [`PersistError::ConfigMismatch`] (replay is faithful only if
+    /// dispatch continues identically).
+    fn check_stamps(&self, spec: &str, config: &str) -> Result<(), PersistError> {
+        let expected = self.spec.to_string();
+        if spec != expected {
+            return Err(PersistError::SpecMismatch {
+                expected,
+                found: spec.to_string(),
+            });
+        }
+        let expected = self.config.geometry_string();
+        if config != expected {
+            return Err(PersistError::ConfigMismatch {
+                expected,
+                found: config.to_string(),
+            });
+        }
+        Ok(())
     }
 
     /// The offered-stream position this service resumed from — replay the

@@ -9,13 +9,15 @@
 //! That keeps encodings small, versionable, and impossible to desynchronize
 //! from the construction path.
 //!
-//! The byte conventions mirror the wire layer ([`crate::wire`]): all
-//! integers little-endian, floats as IEEE-754 bit patterns
-//! (`f64::to_bits`), sequences length-prefixed, decoding strict — short
-//! buffers, oversized counts, and trailing bytes are typed [`StateError`]s,
-//! never panics. Hash-map state is always written in sorted key order, so
-//! `save_state` is a **deterministic** function of the sketch's logical
-//! state (two bit-identical sketches encode to identical bytes).
+//! The byte conventions: all integers little-endian, floats as IEEE-754
+//! bit patterns (`f64::to_bits`), sequences length-prefixed, decoding
+//! strict — short buffers, oversized counts, and trailing bytes are typed
+//! [`StateError`]s, never panics. [`StateReader`] is also the one reader
+//! behind the snapshot and WAL envelopes ([`crate::persist`]) and the wire
+//! protocol's frame bodies ([`crate::wire`]). Hash-map state is always
+//! written in sorted key order, so `save_state` is a **deterministic**
+//! function of the sketch's logical state (two bit-identical sketches
+//! encode to identical bytes).
 
 use std::fmt;
 
@@ -56,8 +58,9 @@ impl fmt::Display for StateError {
 impl std::error::Error for StateError {}
 
 /// Little-endian writer for sketch state. Appends to an owned buffer;
-/// nested encoders just keep writing (framing belongs to the envelope
-/// layer, not to the state vocabulary).
+/// nested encoders just keep writing (framing and checksums belong to the
+/// durable envelope, `persist::seal` / `persist::open`, not to the state
+/// vocabulary).
 #[derive(Default)]
 pub struct StateWriter {
     buf: Vec<u8>,

@@ -20,13 +20,13 @@
 //! **monotone sequence number** (not the epoch index — recovery opens a
 //! fresh segment while older ones still hold the authoritative tail):
 //!
-//! * **Segment header** — magic `BDWL`, format version, a length-prefixed
-//!   body (spec stamp with the seed, service *geometry* stamp, sequence
-//!   number, the offered-stream position the segment starts at), and a
-//!   CRC-32C over everything before it (Castagnoli — the log checksums
-//!   every dispatched cell, so the polynomial is the one x86's `crc32`
-//!   instruction accelerates; snapshots keep their original CRC-32).
-//! * **Records** — one length-prefixed, CRC-framed record per dispatched
+//! * **Segment header** — the durable envelope snapshot files use too
+//!   (magic `BDWL`, format version [`WAL_VERSION`], a length-prefixed body,
+//!   and a CRC-32C over everything before it; see [`crate::persist`]).
+//!   The body stamps the spec (seed included), the service *geometry*, the
+//!   sequence number, and the offered-stream position the segment starts
+//!   at.
+//! * **Records** — one length-prefixed, CRC-32C-framed record per dispatched
 //!   grid cell: the offered position the cell starts at, then either the
 //!   cell's updates verbatim ([`WalCell::Batch`]) or — under the `drop`
 //!   overflow policy — the shed cell's count and mass
@@ -34,10 +34,13 @@
 //!   (the update → worker assignment is a pure function of the *offered*
 //!   position, shed cells included).
 //!
-//! Records self-stamp their offered position, so replay is total under
-//! any crash: [`read_segment`] consumes frames until the first torn or
-//! corrupt one and reports the damage as a typed [`WalTruncation`] —
-//! never a panic, never a partial record handed to the caller.
+//! A record's checksum covers its body only, not its length prefix, so
+//! records are framed by hand rather than by the envelope: the layout is
+//! fixed at `WAL_VERSION` 1. Records self-stamp their offered position, so
+//! replay is total under any crash: [`read_segment`] consumes frames until
+//! the first torn or corrupt one and reports the damage as a typed
+//! [`WalTruncation`] — never a panic, never a partial record handed to
+//! the caller.
 //!
 //! ## Fsync contract
 //!
@@ -62,7 +65,9 @@
 //! file sync plus one directory sync (`DESIGN.md §14` states the full
 //! durability matrix).
 
-use crate::persist::{crc32c, fault::FaultInjector, sync_dir, PersistError};
+use crate::persist::{
+    crc32c, fault::FaultInjector, numbered_files, open, seal, sync_dir, PersistError,
+};
 use crate::spec::SpecError;
 use crate::state::{StateReader, StateWriter};
 use crate::update::Update;
@@ -205,7 +210,7 @@ pub enum WalDamage {
     /// A frame's length header is zero or exceeds [`MAX_WAL_RECORD`]
     /// (corruption that would otherwise demand an absurd allocation).
     BadLength,
-    /// A frame's CRC-32 doesn't match its body (bit flips, torn writes
+    /// A frame's CRC-32C doesn't match its body (bit flips, torn writes
     /// that happen to leave the length intact).
     Checksum,
     /// The frame's body decoded to no valid record.
@@ -291,22 +296,7 @@ pub fn segment_file_name(seq: u64) -> String {
 
 /// Every WAL segment in `dir`, ascending by sequence number.
 pub fn wal_segments(dir: impl AsRef<Path>) -> Result<Vec<(u64, PathBuf)>, PersistError> {
-    let dir = dir.as_ref();
-    let mut out = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let name = name.to_string_lossy();
-        if let Some(num) = name
-            .strip_prefix("wal-")
-            .and_then(|r| r.strip_suffix(".bdwal"))
-        {
-            if let Ok(seq) = num.parse::<u64>() {
-                out.push((seq, dir.join(name.as_ref())));
-            }
-        }
-    }
-    out.sort_unstable_by_key(|(seq, _)| *seq);
-    Ok(out)
+    numbered_files(dir.as_ref(), "wal-", ".bdwal")
 }
 
 fn encode_header(spec: &str, config: &str, seq: u64, start_offered: u64) -> Vec<u8> {
@@ -315,15 +305,7 @@ fn encode_header(spec: &str, config: &str, seq: u64, start_offered: u64) -> Vec<
     body.str(config);
     body.u64(seq);
     body.u64(start_offered);
-    let body = body.into_bytes();
-    let mut out = Vec::with_capacity(4 + 2 + 4 + body.len() + 4);
-    out.extend_from_slice(&WAL_MAGIC);
-    out.extend_from_slice(&WAL_VERSION.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    let crc = crc32c(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    seal(WAL_MAGIC, WAL_VERSION, &body.into_bytes())
 }
 
 /// Encode one record as a framed byte string: `u32` body length, body,
@@ -407,33 +389,35 @@ fn decode_record_body(body: &[u8]) -> Result<WalRecord, ()> {
     Ok(WalRecord { offered, cell })
 }
 
+/// Decode the record frame that starts at byte `pos`: the record and the
+/// offset just past its frame, or what is wrong with the frame.
+fn record_at(bytes: &[u8], pos: usize) -> Result<(WalRecord, usize), WalDamage> {
+    let len_bytes = bytes.get(pos..pos + 4).ok_or(WalDamage::TornFrame)?;
+    let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
+    if len == 0 || len > MAX_WAL_RECORD {
+        return Err(WalDamage::BadLength);
+    }
+    let end = pos + 8 + len;
+    let (body, crc) = bytes
+        .get(pos + 4..end)
+        .ok_or(WalDamage::TornFrame)?
+        .split_at(len);
+    if crc32c(body) != u32::from_le_bytes(crc.try_into().unwrap()) {
+        return Err(WalDamage::Checksum);
+    }
+    let rec = decode_record_body(body).map_err(|()| WalDamage::Malformed)?;
+    Ok((rec, end))
+}
+
 /// Read and validate one segment: strict on the header (a segment whose
-/// header doesn't decode is unusable — [`PersistError::BadMagic`] and
+/// header doesn't open is unusable — [`PersistError::BadMagic`] and
 /// friends), **total on the records** — the scan stops at the first torn
 /// or corrupt frame and reports it as a typed [`WalTruncation`] instead
 /// of an error. A clean empty segment (header only) is valid.
 pub fn read_segment(path: impl AsRef<Path>) -> Result<SegmentScan, PersistError> {
     let bytes = fs::read(path.as_ref())?;
-    if bytes.len() < 10 || bytes[..4] != WAL_MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-    if version != WAL_VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
-    let hlen = u32::from_le_bytes(bytes[6..10].try_into().unwrap()) as usize;
-    if hlen > MAX_WAL_RECORD {
-        return Err(PersistError::Oversized(hlen as u64));
-    }
-    let header_end = 10 + hlen;
-    if bytes.len() < header_end + 4 {
-        return Err(PersistError::ChecksumMismatch);
-    }
-    let stored = u32::from_le_bytes(bytes[header_end..header_end + 4].try_into().unwrap());
-    if crc32c(&bytes[..header_end]) != stored {
-        return Err(PersistError::ChecksumMismatch);
-    }
-    let mut hr = StateReader::new(&bytes[10..header_end]);
+    let (body, records_bytes) = open(WAL_MAGIC, WAL_VERSION, MAX_WAL_RECORD, &bytes)?;
+    let mut hr = StateReader::new(body);
     let header = SegmentHeader {
         spec: hr.str()?,
         config: hr.str()?,
@@ -443,57 +427,22 @@ pub fn read_segment(path: impl AsRef<Path>) -> Result<SegmentScan, PersistError>
     hr.finish()?;
 
     let mut records = Vec::new();
-    let mut pos = header_end + 4;
+    let mut pos = bytes.len() - records_bytes.len();
     let mut truncation = None;
     while pos < bytes.len() {
-        let valid_len = pos as u64;
-        let Some(len_bytes) = bytes.get(pos..pos + 4) else {
-            truncation = Some(WalTruncation {
-                valid_len,
-                damage: WalDamage::TornFrame,
-            });
-            break;
-        };
-        let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
-        if len == 0 || len > MAX_WAL_RECORD {
-            truncation = Some(WalTruncation {
-                valid_len,
-                damage: WalDamage::BadLength,
-            });
-            break;
-        }
-        let Some(body) = bytes.get(pos + 4..pos + 4 + len) else {
-            truncation = Some(WalTruncation {
-                valid_len,
-                damage: WalDamage::TornFrame,
-            });
-            break;
-        };
-        let Some(crc_bytes) = bytes.get(pos + 4 + len..pos + 8 + len) else {
-            truncation = Some(WalTruncation {
-                valid_len,
-                damage: WalDamage::TornFrame,
-            });
-            break;
-        };
-        if crc32c(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
-            truncation = Some(WalTruncation {
-                valid_len,
-                damage: WalDamage::Checksum,
-            });
-            break;
-        }
-        match decode_record_body(body) {
-            Ok(rec) => records.push(rec),
-            Err(()) => {
+        match record_at(&bytes, pos) {
+            Ok((rec, next)) => {
+                records.push(rec);
+                pos = next;
+            }
+            Err(damage) => {
                 truncation = Some(WalTruncation {
-                    valid_len,
-                    damage: WalDamage::Malformed,
+                    valid_len: pos as u64,
+                    damage,
                 });
                 break;
             }
         }
-        pos += 8 + len;
     }
     Ok(SegmentScan {
         header,
@@ -1091,6 +1040,64 @@ mod tests {
         bad_magic[0] = b'X';
         fs::write(&path, &bad_magic).unwrap();
         assert_eq!(read_segment(&path).unwrap_err(), PersistError::BadMagic);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The on-disk WAL layout is frozen at `WAL_VERSION` 1: a golden
+    /// segment keeps its exact length and checksum.
+    #[test]
+    fn segment_bytes_are_pinned() {
+        let dir = tmp("golden");
+        let mut w = WalWriter::open(
+            &dir,
+            "csss:n=64,seed=3",
+            "service:epoch=8",
+            WalPolicy::Batch,
+            7,
+            100,
+        )
+        .unwrap();
+        w.append(&WalRecord {
+            offered: 100,
+            cell: WalCell::Batch(Arc::new(
+                (0..5u64).map(|i| Update::new(i, 3 - i as i64)).collect(),
+            )),
+        })
+        .unwrap();
+        w.append(&WalRecord {
+            offered: 105,
+            cell: WalCell::Shed { count: 4, mass: 40 },
+        })
+        .unwrap();
+        drop(w);
+        let file = fs::read(dir.join(segment_file_name(7))).unwrap();
+        assert_eq!((file.len(), crc32c(&file)), (195, 0x196A_B710));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every truncation and every single-bit flip of a header-only
+    /// segment makes the header unusable: a typed error, never a panic
+    /// and never a scan.
+    #[test]
+    fn segment_header_damage_is_a_typed_error() {
+        let dir = tmp("header");
+        drop(WalWriter::open(&dir, "spec", "cfg", WalPolicy::Batch, 0, 0).unwrap());
+        let path = dir.join(segment_file_name(0));
+        let clean = fs::read(&path).unwrap();
+        assert!(read_segment(&path).unwrap().records.is_empty());
+        for cut in 0..clean.len() {
+            fs::write(&path, &clean[..cut]).unwrap();
+            assert!(read_segment(&path).is_err(), "header cut at {cut} read");
+        }
+        for bit in 0..clean.len() * 8 {
+            let mut bad = clean.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            fs::write(&path, &bad).unwrap();
+            assert!(
+                read_segment(&path).is_err(),
+                "header bit {bit} flipped read"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

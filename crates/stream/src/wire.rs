@@ -47,11 +47,18 @@
 //! Decoding is strict: unknown kinds, short bodies, trailing bytes, and
 //! unknown error codes are all [`WireError`]s, answered by closing the
 //! connection (server) or surfacing the error (client) — never by a panic.
+//! Bodies are decoded with the persistence layer's
+//! [`StateReader`](crate::state::StateReader), so the wire and the disk
+//! share one little-endian reader; only counted fields keep a wire-local
+//! check, against [`MAX_FRAME`]. Frames are read by one loop, behind both
+//! [`read_frame`] and the server's stop-aware reads.
 //!
 //! [`QueryView::stamp`]: crate::query::QueryView::stamp
 
+use crate::state::{StateError, StateReader};
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
 /// Hard cap on a frame's payload (kind + body), requests and responses
 /// alike. Generous for every legitimate message (a 64k-item batch response
@@ -203,61 +210,29 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Strict little-endian reader over a frame body.
-struct Reader<'a> {
-    data: &'a [u8],
+impl From<StateError> for WireError {
+    fn from(e: StateError) -> Self {
+        match e {
+            StateError::Truncated => WireError::Truncated,
+            StateError::TrailingBytes(n) => WireError::TrailingBytes(n),
+            StateError::Oversized(n) => WireError::Oversized(n),
+            // `StateReader::str` is the only decoder used here that
+            // reports a corrupt field: a message that is not UTF-8.
+            StateError::Corrupt(_) => WireError::BadUtf8,
+        }
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader { data }
+/// A count prefix, validated against the bytes each element needs. The
+/// bound is [`MAX_FRAME`], not the 64 MiB
+/// [`MAX_STATE`](crate::state::MAX_STATE) that `StateReader::seq` allows:
+/// a hostile frame may not make the decoder reserve more than a frame.
+fn count(r: &mut StateReader<'_>, elem_bytes: usize) -> Result<usize, WireError> {
+    let n = r.u32()? as usize;
+    if n.saturating_mul(elem_bytes) > MAX_FRAME {
+        return Err(WireError::Oversized(n as u64));
     }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.data.len() < n {
-            return Err(WireError::Truncated);
-        }
-        let (head, tail) = self.data.split_at(n);
-        self.data = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A count prefix, validated against the bytes each element needs.
-    fn count(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(elem_bytes) > MAX_FRAME {
-            return Err(WireError::Oversized(n as u64));
-        }
-        Ok(n)
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.data.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes(self.data.len()))
-        }
-    }
+    Ok(n)
 }
 
 impl Request {
@@ -289,12 +264,12 @@ impl Request {
 
     /// Strictly decode a frame payload (kind byte + body).
     pub fn decode(frame: &[u8]) -> Result<Request, WireError> {
-        let mut r = Reader::new(frame);
+        let mut r = StateReader::new(frame);
         let kind = r.u8()?;
         let req = match kind {
             0x01 => Request::Point { item: r.u64()? },
             0x02 => {
-                let n = r.count(8)?;
+                let n = count(&mut r, 8)?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
                     items.push(r.u64()?);
@@ -377,7 +352,7 @@ impl Response {
 
     /// Strictly decode a frame payload (kind byte + body).
     pub fn decode(frame: &[u8]) -> Result<Response, WireError> {
-        let mut r = Reader::new(frame);
+        let mut r = StateReader::new(frame);
         let kind = r.u8()?;
         let resp = match kind {
             0x81 => Response::Point {
@@ -386,7 +361,7 @@ impl Response {
             },
             0x82 => {
                 let stamp = r.u64()?;
-                let n = r.count(8)?;
+                let n = count(&mut r, 8)?;
                 let mut estimates = Vec::with_capacity(n);
                 for _ in 0..n {
                     estimates.push(r.f64()?);
@@ -399,7 +374,7 @@ impl Response {
             },
             0x84 => {
                 let stamp = r.u64()?;
-                let n = r.count(16)?;
+                let n = count(&mut r, 16)?;
                 let mut hitters = Vec::with_capacity(n);
                 for _ in 0..n {
                     hitters.push((r.u64()?, r.f64()?));
@@ -422,15 +397,10 @@ impl Response {
                 wal_bytes: r.u64()?,
             }),
             0x86 => Response::ShutdownAck,
-            0xEE => {
-                let code = ErrorCode::from_u8(r.u8()?)?;
-                let len = r.u16()? as usize;
-                let bytes = r.bytes(len)?;
-                let message = std::str::from_utf8(bytes)
-                    .map_err(|_| WireError::BadUtf8)?
-                    .to_string();
-                Response::Error { code, message }
-            }
+            0xEE => Response::Error {
+                code: ErrorCode::from_u8(r.u8()?)?,
+                message: r.str()?,
+            },
             other => return Err(WireError::UnknownKind(other)),
         };
         r.finish()?;
@@ -457,26 +427,29 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// `Ok(false)` on clean EOF at a frame boundary (the peer closed between
 /// messages); a length prefix of zero or above [`MAX_FRAME`] is
 /// `InvalidData` (malformed peer — close the connection); EOF mid-frame is
-/// `UnexpectedEof`.
+/// `UnexpectedEof`; a read timeout is returned as the reader's error.
 pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
+    read_frame_until(r, buf, None)
+}
+
+/// Idle read ticks a connection may sit mid-frame after the stop flag
+/// rises before [`read_frame_until`] gives up on it.
+const DRAIN_TICKS: u32 = 20;
+
+/// [`read_frame`], except that with a `stop` flag the reader's timeouts
+/// are polling ticks rather than errors: between frames a tick rechecks
+/// `stop` and returns `Ok(false)` once it has risen; mid-frame, the peer
+/// gets [`DRAIN_TICKS`] ticks after `stop` rises before the read fails
+/// with `TimedOut`.
+pub(crate) fn read_frame_until<R: Read>(
+    r: &mut R,
+    buf: &mut Vec<u8>,
+    stop: Option<&AtomicBool>,
+) -> io::Result<bool> {
+    let mut idle_after_stop = 0;
     let mut len_bytes = [0u8; 4];
-    // A clean close lands here with zero bytes read.
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len_bytes[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside a frame length prefix",
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+    if !fill(r, &mut len_bytes, true, stop, &mut idle_after_stop)? {
+        return Ok(false);
     }
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len == 0 || len > MAX_FRAME {
@@ -487,7 +460,49 @@ pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
     }
     buf.clear();
     buf.resize(len, 0);
-    r.read_exact(buf)?;
+    fill(r, buf, false, stop, &mut idle_after_stop)?;
+    Ok(true)
+}
+
+/// Fill `dst` from `r` — the one loop behind [`read_frame_until`]. At a
+/// frame `boundary`, before any byte arrives, a clean EOF or a raised
+/// `stop` returns `Ok(false)`; anywhere else EOF is `UnexpectedEof`.
+fn fill<R: Read>(
+    r: &mut R,
+    dst: &mut [u8],
+    boundary: bool,
+    stop: Option<&AtomicBool>,
+    idle_after_stop: &mut u32,
+) -> io::Result<bool> {
+    let stopping = || stop.is_some_and(|s| s.load(SeqCst));
+    let mut filled = 0;
+    while filled < dst.len() {
+        let between_frames = boundary && filled == 0;
+        if between_frames && stopping() {
+            return Ok(false);
+        }
+        match r.read(&mut dst[filled..]) {
+            Ok(0) if between_frames => return Ok(false),
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e)
+                if stop.is_some()
+                    && matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
+            {
+                if !between_frames && stopping() {
+                    *idle_after_stop += 1;
+                    if *idle_after_stop > DRAIN_TICKS {
+                        return Err(io::ErrorKind::TimedOut.into());
+                    }
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
     Ok(true)
 }
 

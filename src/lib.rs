@@ -97,7 +97,7 @@ pub use bd_sketch;
 pub use bd_stream;
 
 /// The fully-populated workspace sketch catalog (built once, by
-/// [`bd_core::registry`], then cached): every α-property structure,
+/// [`bd_core::registry`](fn@bd_core::registry), then cached): every α-property structure,
 /// turnstile baseline, and the exact reference vector, buildable from a
 /// [`bd_stream::SketchSpec`].
 pub fn registry() -> &'static bd_stream::Registry {

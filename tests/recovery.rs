@@ -23,7 +23,7 @@ mod common;
 
 use bd_stream::{
     Capabilities, FamilyInfo, PersistError, Registry, ServiceConfig, ServiceError, SnapshotStore,
-    StreamService,
+    StreamService, PERSIST_VERSION,
 };
 use bounded_deletions::prelude::*;
 use common::{assert_probes_match, conformance_spec, probe, stream};
@@ -231,6 +231,34 @@ fn recovery_rejects_mismatched_stamps_with_typed_errors() {
     // The true stamps still recover.
     let rec = StreamService::recover(registry(), &spec, cfg, dir.store()).unwrap();
     assert!(rec.replay_from() > 0);
+}
+
+/// A snapshot of another format version stops recovery with a typed
+/// error instead of being skipped: falling back to an older epoch (or to
+/// an empty store) would let this build overwrite the other build's
+/// epochs and truncate its log.
+#[test]
+fn recovery_refuses_a_foreign_format_version() {
+    let s = stream(0x5E);
+    let spec = conformance_spec(SketchFamily::Exact);
+    let cfg = service_config(s.len(), 1);
+    let dir = TempDir::new("version");
+    let mut svc = StreamService::start(registry(), &spec, cfg).unwrap();
+    svc.persist_to(dir.store()).unwrap();
+    svc.ingest(&s.updates[..s.len() * 7 / 9]).unwrap(); // epochs 1 and 2 persisted
+    drop(svc);
+
+    let store = dir.store();
+    assert_eq!(store.epochs().unwrap(), vec![1, 2]);
+    let newest = store.path_for(2);
+    let mut raw = std::fs::read(&newest).unwrap();
+    raw[4..6].copy_from_slice(&(PERSIST_VERSION - 1).to_le_bytes());
+    std::fs::write(&newest, &raw).unwrap();
+
+    assert!(matches!(
+        StreamService::recover(registry(), &spec, cfg, store),
+        Err(ServiceError::Persist(PersistError::UnsupportedVersion(v))) if v == PERSIST_VERSION - 1
+    ));
 }
 
 /// An empty store is a fresh start, not an error — and the service then
