@@ -849,11 +849,12 @@ fn main() {
     // sample: a cut's fsync is a fixed latency (~1 ms here), so each
     // epoch needs enough dispatch work to amortize it — the deployment
     // regime `epoch` targets, where an epoch is seconds of ingest, not
-    // milliseconds. The `epoch` policy then adds only buffered appends
-    // off-thread plus one fsync per cut, so its overhead is gated
-    // in-bench at 20% of the no-WAL rate; `batch` promises an fsync
-    // before every dispatch cell is acknowledged, a latency floor no
-    // throughput gate can waive, so its row lands ungated.
+    // milliseconds. The `epoch` policy then adds only buffered appends,
+    // written inline by the dispatch thread, plus one fsync per cut, so
+    // its overhead is gated in-bench at 20% of the no-WAL rate; `batch`
+    // promises an fsync before every dispatch cell is acknowledged, a
+    // latency floor no throughput gate can waive, so its row lands
+    // ungated.
     println!("\nwal — write-ahead-log append overhead per fsync policy, tail replay\n");
     const WAL_PASSES: usize = 16;
     let wal_spec = base.with_family(SketchFamily::AlphaHh).with_seed(42);

@@ -99,7 +99,6 @@ pub use update::{Item, StreamBatch, Update};
 pub use vector::FrequencyVector;
 pub use wal::{
     read_segment, truncate_segment, wal_segments, SegmentHeader, SegmentScan, WalCell, WalDamage,
-    WalLogger, WalPolicy, WalRecord, WalTruncation, WalWriter, MAX_WAL_RECORD, WAL_MAGIC,
-    WAL_VERSION,
+    WalPolicy, WalRecord, WalTruncation, WalWriter, MAX_WAL_RECORD, WAL_MAGIC, WAL_VERSION,
 };
 pub use wire::{ErrorCode, Request, Response, WireError, WireReport, MAX_FRAME};

@@ -66,8 +66,9 @@ use crate::runner::StreamRunner;
 use crate::space::SpaceReport;
 use crate::spec::{parse_u64, SketchSpec, SpecError};
 use crate::update::Update;
-use crate::wal::{self, SealedSegment, WalCell, WalLogger, WalPolicy, WalRecord, WalWriter};
+use crate::wal::{self, SealedSegment, WalCell, WalPolicy, WalRecord, WalWriter};
 use std::fmt;
+use std::path::Path;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
@@ -597,11 +598,11 @@ pub struct StreamService {
     /// The write-ahead log (open iff a store is attached and
     /// [`ServiceConfig::wal`] is not `off`): one record per dispatched
     /// cell, appended *after* dispatch, segments rolled at each cut and
-    /// deleted once a persisted snapshot covers them. Under `batch`
-    /// policy the writer is inline (the fsync-per-append rendezvous IS
-    /// the contract); under `epoch` it lives on a [`WalLogger`] thread
-    /// so encode/checksum/write/fsync stay off the dispatch hot path.
-    wal: Option<WalSink>,
+    /// deleted once a persisted snapshot covers them. The dispatch thread
+    /// writes it inline under every policy (the policy only picks when
+    /// the writer fsyncs), so a failed append fails the
+    /// [`StreamService::ingest`] call that dispatched the cell.
+    wal: Option<WalWriter>,
     /// True while [`StreamService::recover`] re-dispatches the WAL tail:
     /// suppresses re-logging (the records are already durable) and makes
     /// every replayed batch undroppable (the logged outcome is replayed,
@@ -620,70 +621,6 @@ pub struct StreamService {
     /// The offered-stream position this service resumed from (0 for a
     /// fresh start): replay the source from this offset to catch up.
     recovered_from: usize,
-}
-
-/// How the service reaches its write-ahead log: inline for
-/// [`WalPolicy::Batch`] (durable-per-append is a rendezvous), through the
-/// [`WalLogger`] thread for [`WalPolicy::Epoch`] (appends and segment
-/// operations are pipelined; errors surface on the next logged
-/// operation).
-enum WalSink {
-    Inline(WalWriter),
-    Piped(WalLogger),
-}
-
-impl WalSink {
-    /// Wrap a configured writer per the policy it was opened with.
-    fn attach(writer: WalWriter, policy: WalPolicy) -> WalSink {
-        match policy {
-            WalPolicy::Epoch => WalSink::Piped(WalLogger::spawn(writer)),
-            _ => WalSink::Inline(writer),
-        }
-    }
-
-    /// Log one record; returns the frame bytes appended (or enqueued).
-    fn append(&mut self, rec: WalRecord) -> Result<u64, PersistError> {
-        match self {
-            WalSink::Inline(w) => w.append(&rec),
-            WalSink::Piped(l) => l.append(rec),
-        }
-    }
-
-    /// Roll the segment at an epoch cut.
-    fn roll(&mut self, offered: u64) -> Result<(), PersistError> {
-        match self {
-            WalSink::Inline(w) => w.roll(offered),
-            WalSink::Piped(l) => l.roll(offered),
-        }
-    }
-
-    /// Delete sealed segments covered by a durable snapshot at `offered`.
-    fn truncate_through(&mut self, offered: u64) -> Result<(), PersistError> {
-        match self {
-            WalSink::Inline(w) => w.truncate_through(offered).map(|_| ()),
-            WalSink::Piped(l) => l.truncate_through(offered),
-        }
-    }
-
-    /// Forward a crash-point injector. A piped logger that already failed
-    /// reports that on the next logged operation instead.
-    fn set_fault(&mut self, fault: Arc<FaultInjector>) {
-        match self {
-            WalSink::Inline(w) => w.set_fault(fault),
-            WalSink::Piped(l) => {
-                let _ = l.set_fault(fault);
-            }
-        }
-    }
-
-    /// Block until every enqueued operation is applied and surface any
-    /// pending asynchronous error (no-op inline).
-    fn sync(&mut self) -> Result<(), PersistError> {
-        match self {
-            WalSink::Inline(_) => Ok(()),
-            WalSink::Piped(l) => l.sync(),
-        }
-    }
 }
 
 impl StreamService {
@@ -801,27 +738,30 @@ impl StreamService {
             store.set_fault(Arc::clone(fault));
         }
         if self.config.wal != WalPolicy::Off {
-            let next_seq = wal::wal_segments(store.dir())
-                .map_err(ServiceError::Persist)?
+            let next_seq = wal::wal_segments(store.dir())?
                 .last()
-                .map(|(seq, _)| seq + 1)
-                .unwrap_or(0);
-            let mut writer = WalWriter::open(
-                store.dir(),
-                &self.spec.to_string(),
-                &self.config.geometry_string(),
-                self.config.wal,
-                next_seq,
-                self.offered as u64,
-            )
-            .map_err(ServiceError::Persist)?;
-            if let Some(fault) = &self.fault {
-                writer.set_fault(Arc::clone(fault));
-            }
-            self.wal = Some(WalSink::attach(writer, self.config.wal));
+                .map_or(0, |(seq, _)| seq + 1);
+            self.open_wal(store.dir(), next_seq)?;
         }
         self.store = Some(store);
         Ok(())
+    }
+
+    /// Open the write-ahead log in `dir` as segment `next_seq`, starting
+    /// at the current offered position, with any armed fault forwarded.
+    fn open_wal(&mut self, dir: &Path, next_seq: u64) -> Result<&mut WalWriter, PersistError> {
+        let mut writer = WalWriter::open(
+            dir,
+            &self.spec.to_string(),
+            &self.config.geometry_string(),
+            self.config.wal,
+            next_seq,
+            self.offered as u64,
+        )?;
+        if let Some(fault) = &self.fault {
+            writer.set_fault(Arc::clone(fault));
+        }
+        Ok(self.wal.insert(writer))
     }
 
     /// Arm a crash-point [`FaultInjector`] (testing only): the snapshot
@@ -833,8 +773,8 @@ impl StreamService {
         if let Some(store) = &mut self.store {
             store.set_fault(Arc::clone(&fault));
         }
-        if let Some(sink) = &mut self.wal {
-            sink.set_fault(Arc::clone(&fault));
+        if let Some(wal) = &mut self.wal {
+            wal.set_fault(Arc::clone(&fault));
         }
         self.fault = Some(fault);
     }
@@ -913,25 +853,16 @@ impl StreamService {
         let (sealed, max_seq) = svc.replay_wal_tail(&dir)?;
         svc.recovered_from = svc.offered;
         if svc.config.wal != WalPolicy::Off {
-            let next_seq = max_seq.map_or(0, |s| s + 1);
-            let mut writer = WalWriter::open(
-                &dir,
-                &svc.spec.to_string(),
-                &svc.config.geometry_string(),
-                svc.config.wal,
-                next_seq,
-                svc.offered as u64,
-            )
-            .map_err(ServiceError::Persist)?;
+            // Past the highest sequence number seen, so the number of a
+            // deleted torn final segment is never reused.
+            let persisted = svc.last_persisted_offered;
+            let wal = svc.open_wal(&dir, max_seq.map_or(0, |s| s + 1))?;
             // Old segments stay authoritative until a durable snapshot
             // covers them; prime them so the next truncation pass (or the
             // one right here, for segments the replayed cuts already
             // covered) deletes them.
-            writer.prime_sealed(sealed);
-            writer
-                .truncate_through(svc.last_persisted_offered)
-                .map_err(ServiceError::Persist)?;
-            svc.wal = Some(WalSink::attach(writer, svc.config.wal));
+            wal.prime_sealed(sealed);
+            wal.truncate_through(persisted)?;
         }
         Ok(svc)
     }
@@ -945,22 +876,29 @@ impl StreamService {
     /// the highest sequence number seen.
     fn replay_wal_tail(
         &mut self,
-        dir: &std::path::Path,
+        dir: &Path,
     ) -> Result<(Vec<SealedSegment>, Option<u64>), ServiceError> {
-        let segments = wal::wal_segments(dir).map_err(ServiceError::Persist)?;
-        let mut sealed = Vec::new();
-        let mut max_seq = None;
-        if segments.is_empty() {
-            return Ok((sealed, max_seq));
-        }
         self.replaying = true;
+        let replayed = self.replay_segments(dir);
+        self.replaying = false;
+        replayed
+    }
+
+    /// The scan behind [`StreamService::replay_wal_tail`], run with
+    /// `replaying` set.
+    fn replay_segments(
+        &mut self,
+        dir: &Path,
+    ) -> Result<(Vec<SealedSegment>, Option<u64>), ServiceError> {
+        let segments = wal::wal_segments(dir)?;
+        // Listed ascending, so the last segment has the highest number.
+        let max_seq = segments.last().map(|&(seq, _)| seq);
+        let mut sealed = Vec::new();
         let mut intact = true;
-        let last_idx = segments.len() - 1;
-        for (idx, (seq, path)) in segments.into_iter().enumerate() {
-            max_seq = Some(max_seq.map_or(seq, |m: u64| m.max(seq)));
+        for (seq, path) in segments {
             let scan = match wal::read_segment(&path) {
                 Ok(scan) => scan,
-                Err(_) if idx == last_idx => {
+                Err(_) if Some(seq) == max_seq => {
                     // A final segment with an unreadable header is the
                     // footprint of a crash during segment creation: the
                     // records it might have held were never durable.
@@ -974,8 +912,7 @@ impl StreamService {
                     continue;
                 }
             };
-            self.check_stamps(&scan.header.spec, &scan.header.config)
-                .inspect_err(|_| self.replaying = false)?;
+            self.check_stamps(&scan.header.spec, &scan.header.config)?;
             let mut seg_end = scan.header.start_offered;
             for rec in scan.records {
                 let end = rec.end_offered();
@@ -996,7 +933,7 @@ impl StreamService {
                         // unwraps without copying.
                         self.buf =
                             Arc::try_unwrap(updates).unwrap_or_else(|arc| arc.as_ref().clone());
-                        self.flush().inspect_err(|_| self.replaying = false)?;
+                        self.flush()?;
                     }
                     WalCell::Shed { count, mass } => {
                         // The shed outcome is replayed, not re-decided:
@@ -1008,13 +945,13 @@ impl StreamService {
                     }
                 }
                 if self.in_epoch >= self.config.epoch {
-                    self.cut().inspect_err(|_| self.replaying = false)?;
+                    self.cut()?;
                 }
             }
             if let Some(trunc) = scan.truncation {
                 // Make the repair physical so the next recovery (or an
                 // operator inspecting the file) sees a clean segment.
-                wal::truncate_segment(&path, trunc.valid_len).map_err(ServiceError::Persist)?;
+                wal::truncate_segment(&path, trunc.valid_len)?;
                 intact = false;
             }
             sealed.push(SealedSegment {
@@ -1025,10 +962,7 @@ impl StreamService {
         }
         // Persist any epoch the replay re-cut (the crash lost its save),
         // republishing it to the hub on the way.
-        let mut replayed_cuts = Vec::new();
-        let drained = self.drain_pending(&mut replayed_cuts);
-        self.replaying = false;
-        drained?;
+        self.drain_pending(&mut Vec::new())?;
         Ok((sealed, max_seq))
     }
 
@@ -1192,7 +1126,7 @@ impl StreamService {
             self.dropped_updates += len;
             self.dropped_mass += ins + del;
         }
-        if let Some(sink) = &mut self.wal {
+        if let Some(wal) = &mut self.wal {
             // Logged *after* dispatch: a crash between dispatch and append
             // loses at most this one cell — the `before-append` fault
             // point — and recovery treats it as never offered.
@@ -1204,38 +1138,33 @@ impl StreamService {
                     mass: ins + del,
                 }
             };
-            let bytes = sink
-                .append(WalRecord {
-                    offered: cell_offered,
-                    cell,
-                })
-                .map_err(ServiceError::Persist)?;
+            let bytes = wal.append(&WalRecord {
+                offered: cell_offered,
+                cell,
+            })?;
             self.wal_records_epoch += 1;
             self.wal_bytes_epoch += bytes;
         }
         Ok(())
     }
 
-    /// Freeze the current accounting into an [`EpochReport`] shell (space
-    /// and merge timing are filled in when the clones arrive).
-    fn freeze_report(&mut self, epoch: usize) -> EpochReport {
-        self.total_inserted += self.inserted;
-        self.total_deleted += self.deleted;
-        self.total_dropped_updates += self.dropped_updates;
-        self.total_dropped_mass += self.dropped_mass;
-        let report = EpochReport {
+    /// The accounting so far as an [`EpochReport`] shell for cut `epoch`:
+    /// this epoch's tallies and the totals through them (space and merge
+    /// timing are filled in when the clones arrive).
+    fn epoch_report(&self, epoch: usize) -> EpochReport {
+        EpochReport {
             epoch,
             updates: self.ingested_in_epoch,
             total_updates: self.total_updates,
             inserted_mass: self.inserted,
             deleted_mass: self.deleted,
-            total_inserted: self.total_inserted,
-            total_deleted: self.total_deleted,
+            total_inserted: self.total_inserted + self.inserted,
+            total_deleted: self.total_deleted + self.deleted,
             alpha_configured: self.alpha_configured,
             dropped_updates: self.dropped_updates,
             dropped_mass: self.dropped_mass,
-            total_dropped_updates: self.total_dropped_updates,
-            total_dropped_mass: self.total_dropped_mass,
+            total_dropped_updates: self.total_dropped_updates + self.dropped_updates,
+            total_dropped_mass: self.total_dropped_mass + self.dropped_mass,
             queue_peak: self.queue_peak,
             blocked: self.blocked,
             space: SpaceReport::default(),
@@ -1245,7 +1174,17 @@ impl StreamService {
             threads: self.config.threads,
             wal_records: self.wal_records_epoch,
             wal_bytes: self.wal_bytes_epoch,
-        };
+        }
+    }
+
+    /// Freeze the current accounting into cut `epoch`'s report: keep its
+    /// totals and start the next epoch's tallies at zero.
+    fn freeze_report(&mut self, epoch: usize) -> EpochReport {
+        let report = self.epoch_report(epoch);
+        self.total_inserted = report.total_inserted;
+        self.total_deleted = report.total_deleted;
+        self.total_dropped_updates = report.total_dropped_updates;
+        self.total_dropped_mass = report.total_dropped_mass;
         self.inserted = 0;
         self.deleted = 0;
         self.in_epoch = 0;
@@ -1280,9 +1219,8 @@ impl StreamService {
         // Roll the log at the boundary: the sealed segment holds exactly
         // this epoch's records and becomes deletable once the cut's
         // snapshot is durably saved (`drain_pending`).
-        if let Some(sink) = &mut self.wal {
-            sink.roll(self.offered as u64)
-                .map_err(ServiceError::Persist)?;
+        if let Some(wal) = &mut self.wal {
+            wal.roll(self.offered as u64)?;
         }
         Ok(())
     }
@@ -1333,8 +1271,8 @@ impl StreamService {
                 self.last_persisted_offered = offered;
                 // Only now — with the covering snapshot durable — are the
                 // sealed segments up to the cut dead weight.
-                if let Some(sink) = &mut self.wal {
-                    sink.truncate_through(offered)?;
+                if let Some(wal) = &mut self.wal {
+                    wal.truncate_through(offered)?;
                 }
                 store.prune(self.config.retain)?;
             }
@@ -1446,30 +1384,8 @@ impl StreamService {
         // observable side effect of an on-demand snapshot.
         self.flush()?;
         // Totals must not double-count when the scheduled cut arrives, so
-        // freeze a copy of the accounting instead of consuming it.
-        let report = EpochReport {
-            epoch: self.epochs_cut + 1,
-            updates: self.ingested_in_epoch,
-            total_updates: self.total_updates,
-            inserted_mass: self.inserted,
-            deleted_mass: self.deleted,
-            total_inserted: self.total_inserted + self.inserted,
-            total_deleted: self.total_deleted + self.deleted,
-            alpha_configured: self.alpha_configured,
-            dropped_updates: self.dropped_updates,
-            dropped_mass: self.dropped_mass,
-            total_dropped_updates: self.total_dropped_updates + self.dropped_updates,
-            total_dropped_mass: self.total_dropped_mass + self.dropped_mass,
-            queue_peak: self.queue_peak,
-            blocked: self.blocked,
-            space: SpaceReport::default(),
-            elapsed: self.epoch_start.elapsed(),
-            merge_elapsed: Duration::ZERO,
-            merge: MergeReport::default(),
-            threads: self.config.threads,
-            wal_records: self.wal_records_epoch,
-            wal_bytes: self.wal_bytes_epoch,
-        };
+        // copy the accounting instead of freezing it.
+        let report = self.epoch_report(self.epochs_cut + 1);
         let mut replies = Vec::with_capacity(self.senders.len());
         for w in 0..self.senders.len() {
             let (reply_tx, reply_rx) = channel();
@@ -1505,14 +1421,7 @@ impl StreamService {
         if self.in_epoch > 0 {
             self.cut()?;
         }
-        self.drain_pending(out)?;
-        if let Some(sink) = &mut self.wal {
-            // A piped logger applies appends/rolls asynchronously; the
-            // final rendezvous makes `finish` surface any error it hit
-            // instead of losing it in the drop.
-            sink.sync().map_err(ServiceError::Persist)?;
-        }
-        Ok(())
+        self.drain_pending(out)
     }
 }
 

@@ -45,16 +45,22 @@
 //! ## Fsync contract
 //!
 //! The `wal=` knob in the [`ServiceConfig`](crate::service::ServiceConfig)
-//! grammar picks the durability point:
+//! grammar picks the durability point, and only that. Under every policy
+//! the service's dispatcher owns the one [`WalWriter`] and encodes,
+//! checksums, and `write(2)`s each record itself, right after dispatching
+//! the cell; a failed append is therefore the error of the `ingest` call
+//! that dispatched the cell, and `Ok` from that call means every cell it
+//! dispatched was written to the log.
 //!
 //! * [`WalPolicy::Off`] — no log; a crash loses the tail since the last
 //!   persisted cut (the PR 9 contract).
 //! * [`WalPolicy::Batch`] — fsync after every appended record; a crash
 //!   loses at most the one cell being appended.
 //! * [`WalPolicy::Epoch`] — records are written (so an OS that stays up
-//!   keeps them) but fsynced only at segment roll; a power loss can lose
-//!   the un-synced tail of the current epoch, a process crash typically
-//!   none.
+//!   keeps them) but fsynced only at segment roll, which the dispatcher
+//!   waits for at each cut; a power loss can lose the un-synced tail of
+//!   the current epoch, while a process crash loses only what it would
+//!   under `batch`.
 //!
 //! Every durability point fsyncs the file *and the parent directory*, so
 //! creates/unlinks themselves survive power loss. Under `batch` that is
@@ -76,10 +82,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 /// Magic tag opening a WAL segment.
 pub const WAL_MAGIC: [u8; 4] = *b"BDWL";
@@ -106,8 +109,8 @@ pub enum WalPolicy {
     /// cell being appended. The strongest (and slowest) setting.
     Batch,
     /// Write records eagerly but fsync only at segment roll (each epoch
-    /// cut): a process crash typically loses nothing, a power loss can
-    /// lose the un-synced tail of the current epoch.
+    /// cut): a process crash loses only what it would under `Batch`, a
+    /// power loss can lose the un-synced tail of the current epoch.
     Epoch,
 }
 
@@ -184,19 +187,6 @@ impl WalRecord {
     /// The offered position after this cell.
     pub fn end_offered(&self) -> u64 {
         self.offered + self.len() as u64
-    }
-
-    /// The exact framed size [`encode_record`] will produce, without
-    /// encoding — the async append path reports bytes-appended from the
-    /// dispatch thread while the logger thread does the encoding.
-    pub fn encoded_frame_len(&self) -> u64 {
-        let body = 8
-            + 1
-            + match &self.cell {
-                WalCell::Batch(updates) => 4 + 16 * updates.len() as u64,
-                WalCell::Shed { .. } => 4 + 8,
-            };
-        4 + body + 4
     }
 }
 
@@ -358,7 +348,6 @@ pub fn encode_record_into(out: &mut Vec<u8>, rec: &WalRecord) {
     out[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
     let crc = crc32c(&out[4..]);
     out.extend_from_slice(&crc.to_le_bytes());
-    debug_assert_eq!(out.len() as u64, rec.encoded_frame_len());
 }
 
 fn decode_record_body(body: &[u8]) -> Result<WalRecord, ()> {
@@ -712,180 +701,6 @@ impl WalWriter {
             sync_dir(&self.dir)?;
         }
         Ok(deleted)
-    }
-}
-
-/// One operation shipped to the logger thread. Order on the channel is
-/// order on disk.
-enum WalOp {
-    Append(WalRecord),
-    Roll(u64),
-    TruncateThrough(u64),
-    SetFault(Arc<FaultInjector>),
-    Barrier(SyncSender<()>),
-}
-
-/// Off-thread append pipeline for [`WalPolicy::Epoch`]: the dispatch
-/// thread enqueues records and segment operations on a bounded FIFO and a
-/// dedicated logger thread owns the [`WalWriter`], taking the encode +
-/// checksum + `write(2)` + per-cut fsync latency off the ingest hot path
-/// (`DESIGN.md §14`). [`WalPolicy::Batch`] never uses this: its contract
-/// — durable before the append returns — is a rendezvous no pipeline can
-/// hide, so the service keeps that writer inline.
-///
-/// Semantics preserved from the inline writer:
-///
-/// * **Order** — one channel, one consumer; records, rolls, and
-///   truncations hit the disk in dispatch order.
-/// * **Bounded memory** — at most [`WalLogger::QUEUE_DEPTH`] cells sit
-///   between the dispatcher and the disk; a stalled disk back-pressures
-///   the producer instead of growing the heap.
-/// * **Totality of errors** — the first failure (I/O or an injected
-///   fault) poisons the logger: it drains but writes nothing more, and
-///   the error surfaces on the producer's next logged operation.
-/// * **Read-your-own-log** — dropping the logger joins the thread, so
-///   every enqueued record is *written* (not necessarily fsynced) before
-///   the process can re-scan the directory: an in-process restart under
-///   `epoch` policy replays its full tail, exactly like the inline
-///   writer.
-pub struct WalLogger {
-    tx: Option<SyncSender<WalOp>>,
-    join: Option<JoinHandle<()>>,
-    dead: Arc<AtomicBool>,
-    failed: Arc<Mutex<Option<PersistError>>>,
-}
-
-impl fmt::Debug for WalLogger {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WalLogger")
-            .field("dead", &self.dead.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-impl WalLogger {
-    /// Cells that may sit between the dispatcher and the disk before the
-    /// producer blocks (~4 MiB of updates at the default chunk) — enough
-    /// slack to keep dispatching through a seal's fsync, shallow enough
-    /// that the logger never accumulates a dirty-page backlog whose
-    /// writeback would collide with the cut's own snapshot fsync
-    /// (measured: a 4× deeper queue is *slower* end-to-end).
-    pub const QUEUE_DEPTH: usize = 64;
-
-    /// Take ownership of `writer` and spawn the logger thread.
-    pub fn spawn(mut writer: WalWriter) -> Self {
-        let (tx, rx) = sync_channel::<WalOp>(Self::QUEUE_DEPTH);
-        let dead = Arc::new(AtomicBool::new(false));
-        let failed: Arc<Mutex<Option<PersistError>>> = Arc::new(Mutex::new(None));
-        let (dead_t, failed_t) = (Arc::clone(&dead), Arc::clone(&failed));
-        let join = std::thread::Builder::new()
-            .name("bd-wal-logger".into())
-            .spawn(move || {
-                for op in rx {
-                    if dead_t.load(Ordering::Relaxed) {
-                        // Poisoned: keep draining (so a blocked producer
-                        // wakes up and sees the error) but write nothing.
-                        if let WalOp::Barrier(ack) = op {
-                            let _ = ack.send(());
-                        }
-                        continue;
-                    }
-                    let res = match op {
-                        WalOp::Append(rec) => writer.append(&rec).map(|_| ()),
-                        WalOp::Roll(offered) => writer.roll(offered),
-                        WalOp::TruncateThrough(offered) => {
-                            writer.truncate_through(offered).map(|_| ())
-                        }
-                        WalOp::SetFault(f) => {
-                            writer.set_fault(f);
-                            Ok(())
-                        }
-                        WalOp::Barrier(ack) => {
-                            let _ = ack.send(());
-                            Ok(())
-                        }
-                    };
-                    if let Err(e) = res {
-                        *failed_t.lock().unwrap() = Some(e);
-                        dead_t.store(true, Ordering::Relaxed);
-                    }
-                }
-            })
-            .expect("spawn wal logger thread");
-        WalLogger {
-            tx: Some(tx),
-            join: Some(join),
-            dead,
-            failed,
-        }
-    }
-
-    fn check(&self) -> Result<(), PersistError> {
-        if self.dead.load(Ordering::Relaxed) {
-            return Err(match self.failed.lock().unwrap().take() {
-                Some(e) => e,
-                None => PersistError::Io("wal logger stopped after an earlier error".into()),
-            });
-        }
-        Ok(())
-    }
-
-    fn send(&self, op: WalOp) -> Result<(), PersistError> {
-        self.check()?;
-        self.tx
-            .as_ref()
-            .expect("logger channel open while not shut down")
-            .send(op)
-            .map_err(|_| PersistError::Io("wal logger thread is gone".into()))
-    }
-
-    /// Enqueue one record; returns the frame bytes it will occupy
-    /// ([`WalRecord::encoded_frame_len`] — the logger thread does the
-    /// actual encoding). Surfaces any error the thread hit since the last
-    /// call.
-    pub fn append(&self, rec: WalRecord) -> Result<u64, PersistError> {
-        let bytes = rec.encoded_frame_len();
-        self.send(WalOp::Append(rec))?;
-        Ok(bytes)
-    }
-
-    /// Enqueue a segment roll at offered position `offered`.
-    pub fn roll(&self, offered: u64) -> Result<(), PersistError> {
-        self.send(WalOp::Roll(offered))
-    }
-
-    /// Enqueue deletion of sealed segments covered by a durable snapshot
-    /// at `offered`. Ordered after every previously enqueued roll, so it
-    /// can never observe a half-sealed segment.
-    pub fn truncate_through(&self, offered: u64) -> Result<(), PersistError> {
-        self.send(WalOp::TruncateThrough(offered))
-    }
-
-    /// Forward a fault injector to the writer (crash-point testing).
-    pub fn set_fault(&self, fault: Arc<FaultInjector>) -> Result<(), PersistError> {
-        self.send(WalOp::SetFault(fault))
-    }
-
-    /// Rendezvous: block until every previously enqueued operation has
-    /// been applied (or skipped by a poisoned logger), then surface any
-    /// pending error. `finish` calls this so a failure in the final roll
-    /// is an error, not a silent loss.
-    pub fn sync(&self) -> Result<(), PersistError> {
-        let (ack_tx, ack_rx) = sync_channel(1);
-        self.send(WalOp::Barrier(ack_tx))?;
-        let _ = ack_rx.recv();
-        self.check()
-    }
-}
-
-impl Drop for WalLogger {
-    fn drop(&mut self) {
-        // Close the channel, then join: every enqueued record is written
-        // before the logger is gone.
-        drop(self.tx.take());
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
     }
 }
 

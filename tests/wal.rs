@@ -2,19 +2,23 @@
 //! recover ≡ uninterrupted**, now at *dispatch* granularity instead of
 //! epoch granularity.
 //!
-//! With `wal=batch` every dispatched cell is durable before ingestion
-//! proceeds, so a service fed from a non-replayable source (a live
-//! channel with no `ingest(&slice)` to re-offer) loses at most the one
-//! cell in flight. These suites crash a persisted service at every
-//! injectable fault point (`bd_stream::fault`: die before an append, die
-//! mid-append, die after the append but before the covering snapshot,
-//! and the adversarial torn-final-record), cold-start a second service
-//! (`StreamService::recover` = newest snapshot + WAL tail replay), feed
-//! the remaining source from [`StreamService::replay_from`], and pin the
-//! continuation against an uninterrupted run: bit-identical where the
-//! family claims `merge_bitwise`, estimate-equal otherwise — the same
-//! per-family contract as `tests/recovery.rs`, tightened from epoch cuts
-//! down to single appends (`DESIGN.md §14`).
+//! The dispatch thread writes every dispatched cell to the log before
+//! `ingest` returns, under every fsync policy: `wal=batch` also fsyncs it,
+//! `wal=epoch` leaves it in the page cache until the cut. Either way a
+//! service fed from a non-replayable source (a live channel with no
+//! `ingest(&slice)` to re-offer) that dies in-process loses at most the
+//! one cell in flight, and a failed append fails the `ingest` call that
+//! dispatched the cell. These suites crash a persisted service, under
+//! both policies, at every injectable fault point (`bd_stream::fault`:
+//! die before an append, die mid-append, die after the append but before
+//! the covering snapshot, and the adversarial torn-final-record),
+//! cold-start a second service (`StreamService::recover` = newest
+//! snapshot + WAL tail replay), feed the remaining source from
+//! [`StreamService::replay_from`], and pin the continuation against an
+//! uninterrupted run: bit-identical where the family claims
+//! `merge_bitwise`, estimate-equal otherwise — the same per-family
+//! contract as `tests/recovery.rs`, tightened from epoch cuts down to
+//! single appends (`DESIGN.md §14`).
 //!
 //! Torn or bit-flipped WAL tails are always *total*: the damaged frame
 //! ends the replayable chain with a physical truncation repair, never a
@@ -51,7 +55,7 @@ fn fault_points() -> Vec<FaultPoint> {
 }
 
 /// Service shape shared with `tests/recovery.rs`, plus the per-batch
-/// fsync policy the durability laws are stated under.
+/// fsync policy (the crash sweep also runs every case under `epoch`).
 fn wal_config(stream_len: usize, threads: usize) -> ServiceConfig {
     ServiceConfig::default()
         .with_epoch((stream_len as u64) / 3)
@@ -82,12 +86,12 @@ impl Drop for TempDir {
     }
 }
 
-/// The acceptance law: for every persistable mergeable family and every
-/// injectable crash point, a service persisted under `wal=batch` that
-/// dies mid-epoch — after a clean first epoch, so the crash exercises
-/// the snapshot + WAL-tail interplay — recovers and, fed the remaining
-/// source from `replay_from()`, ends in the state the uninterrupted run
-/// reached.
+/// The acceptance law: for every persistable mergeable family, every
+/// injectable crash point, and both logging policies, a service persisted
+/// under `wal=batch` or `wal=epoch` that dies mid-epoch — after a clean
+/// first epoch, so the crash exercises the snapshot + WAL-tail interplay
+/// — recovers and, fed the remaining source from `replay_from()`, ends in
+/// the state the uninterrupted run reached.
 #[test]
 fn crash_at_every_fault_point_recovers_for_every_mergeable_family() {
     let s = stream(0xA1);
@@ -111,71 +115,108 @@ fn crash_at_every_fault_point_recovers_for_every_mergeable_family() {
         let want_last = want.last().unwrap();
 
         for point in &points {
-            let name = format!("{} (threads = {threads}, fault = {point})", info.family);
-            let dir = TempDir::new(&format!("{}-{threads}-{point}", info.family.name()));
+            for policy in [WalPolicy::Batch, WalPolicy::Epoch] {
+                let cfg = cfg.with_wal(policy);
+                let name = format!(
+                    "{} (threads = {threads}, fault = {point}, wal = {policy})",
+                    info.family
+                );
+                let dir = TempDir::new(&format!(
+                    "{}-{threads}-{point}-{policy}",
+                    info.family.name()
+                ));
 
-            // A clean first stretch — epoch 1 persisted, its WAL segment
-            // truncated — then the armed crash a few appends later.
-            let mut svc = StreamService::start(registry(), &spec, cfg).unwrap();
-            svc.persist_to(dir.store()).unwrap();
-            let stop = s.len() * 5 / 9;
-            svc.ingest(&s.updates[..stop]).unwrap();
-            svc.arm_fault(FaultInjector::arm(FaultPlan {
-                point: *point,
-                after_appends: 3,
-            }));
-            let died = svc
-                .ingest(&s.updates[stop..])
-                .expect_err("the armed fault must surface as an ingest error");
-            assert!(
-                matches!(died, ServiceError::Persist(PersistError::FaultInjected(_))),
-                "{name}: wrong crash error: {died}"
-            );
-            drop(svc); // the process is gone; only the durable state survives
+                // A clean first stretch — epoch 1 persisted, its WAL segment
+                // truncated — then the armed crash a few appends later.
+                let mut svc = StreamService::start(registry(), &spec, cfg).unwrap();
+                svc.persist_to(dir.store()).unwrap();
+                let stop = s.len() * 5 / 9;
+                svc.ingest(&s.updates[..stop]).unwrap();
+                svc.arm_fault(FaultInjector::arm(FaultPlan {
+                    point: *point,
+                    after_appends: 3,
+                }));
+                let died = svc
+                    .ingest(&s.updates[stop..])
+                    .expect_err("the armed fault must surface as an ingest error");
+                assert!(
+                    matches!(died, ServiceError::Persist(PersistError::FaultInjected(_))),
+                    "{name}: wrong crash error: {died}"
+                );
+                drop(svc); // the process is gone; only the durable state survives
 
-            // Cold-start: newest snapshot + WAL tail replay. The resume
-            // point must lie beyond the snapshot cut — the WAL carried
-            // dispatched cells the epoch-granular store never saw.
-            let mut rec = StreamService::recover(registry(), &spec, cfg, dir.store())
-                .unwrap_or_else(|e| panic!("{name}: recovery failed: {e}"));
-            let from = rec.replay_from();
-            assert!(
-                from > cfg.epoch as usize,
-                "{name}: resume point {from} not beyond the snapshot cut {}",
-                cfg.epoch
-            );
-            assert!(
-                from <= stop + 4 * cfg.chunk,
-                "{name}: resume point {from} claims updates never offered"
-            );
-            assert!(rec.latest().is_some(), "{name}: nothing served on boot");
+                // Cold-start: newest snapshot + WAL tail replay. The resume
+                // point must lie beyond the snapshot cut — the WAL carried
+                // dispatched cells the epoch-granular store never saw.
+                let mut rec = StreamService::recover(registry(), &spec, cfg, dir.store())
+                    .unwrap_or_else(|e| panic!("{name}: recovery failed: {e}"));
+                let from = rec.replay_from();
+                assert!(
+                    from > cfg.epoch as usize,
+                    "{name}: resume point {from} not beyond the snapshot cut {}",
+                    cfg.epoch
+                );
+                assert!(
+                    from <= stop + 4 * cfg.chunk,
+                    "{name}: resume point {from} claims updates never offered"
+                );
+                assert!(rec.latest().is_some(), "{name}: nothing served on boot");
 
-            // Feed the rest of the source and pin the final state.
-            let mut got = rec.ingest(&s.updates[from..]).unwrap();
-            got.extend(rec.finish().unwrap());
-            let g = got.last().unwrap();
-            assert_eq!(g.report.epoch, want_last.report.epoch, "{name}");
-            assert_eq!(g.report.total_updates, s.len(), "{name}: lost updates");
-            assert_eq!(
-                g.report.total_inserted, want_last.report.total_inserted,
-                "{name}"
-            );
-            assert_eq!(
-                g.report.total_deleted, want_last.report.total_deleted,
-                "{name}"
-            );
-            assert_probes_match(
-                &name,
-                &probe(want_last.sketch.as_ref()),
-                &probe(g.sketch.as_ref()),
-                info.caps.merge_bitwise,
-            );
+                // Feed the rest of the source and pin the final state.
+                let mut got = rec.ingest(&s.updates[from..]).unwrap();
+                got.extend(rec.finish().unwrap());
+                let g = got.last().unwrap();
+                assert_eq!(g.report.epoch, want_last.report.epoch, "{name}");
+                assert_eq!(g.report.total_updates, s.len(), "{name}: lost updates");
+                assert_eq!(
+                    g.report.total_inserted, want_last.report.total_inserted,
+                    "{name}"
+                );
+                assert_eq!(
+                    g.report.total_deleted, want_last.report.total_deleted,
+                    "{name}"
+                );
+                assert_probes_match(
+                    &name,
+                    &probe(want_last.sketch.as_ref()),
+                    &probe(g.sketch.as_ref()),
+                    info.caps.merge_bitwise,
+                );
+            }
         }
     }
     assert!(
         covered.len() >= 20,
         "persistable mergeable catalog shrank unexpectedly: {covered:?}"
     );
+}
+
+/// A failed append fails the `ingest` call that dispatched its cell,
+/// under every fsync policy: `Ok` from `ingest` means every cell the call
+/// dispatched was written to the log.
+#[test]
+fn wal_errors_fail_the_call_that_logged_the_cell() {
+    let s = stream(0x1E5);
+    let spec = conformance_spec(SketchFamily::Exact);
+    for policy in [WalPolicy::Batch, WalPolicy::Epoch] {
+        let cfg = wal_config(s.len(), 2).with_wal(policy);
+        let dir = TempDir::new(&format!("call-error-{policy}"));
+        let mut svc = StreamService::start(registry(), &spec, cfg).unwrap();
+        svc.persist_to(dir.store()).unwrap();
+        svc.arm_fault(FaultInjector::arm(FaultPlan {
+            point: FaultPoint::BeforeAppend,
+            after_appends: 0,
+        }));
+        // Exactly one grid cell: the call dispatches it and logs it.
+        let got = svc.ingest(&s.updates[..cfg.chunk]);
+        assert!(
+            matches!(
+                got,
+                Err(ServiceError::Persist(PersistError::FaultInjected(_)))
+            ),
+            "wal={policy}: {got:?}"
+        );
+    }
 }
 
 /// A plain crash (drop without `finish`, no fault injection) under
