@@ -57,6 +57,7 @@
 //! * [`space`] — bit-level space reports ([`space::SpaceUsage`]), the
 //!   measurement behind every Figure 1 comparison.
 
+mod disk;
 pub mod gen;
 pub mod merge;
 pub mod net;
@@ -74,11 +75,12 @@ pub mod vector;
 pub mod wal;
 pub mod wire;
 
+pub use disk::fault;
 pub use merge::{merge_tree, MergeReport};
 pub use net::{QueryClient, QueryServer};
 pub use persist::{
-    decode_snapshot, encode_snapshot, fault, sketch_from_bytes, sketch_to_bytes, sync_dir,
-    PersistError, SnapshotRecord, SnapshotStore, MAX_SNAPSHOT, PERSIST_VERSION,
+    decode_snapshot, encode_snapshot, sketch_from_bytes, sketch_to_bytes, PersistError,
+    SnapshotRecord, SnapshotStore, MAX_SNAPSHOT, PERSIST_VERSION,
 };
 pub use query::{QueryEngine, QueryError, QueryView, SnapshotHandle, SnapshotHub};
 pub use registry::{

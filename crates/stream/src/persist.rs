@@ -38,7 +38,10 @@
 //!   sketch blob, whose header is the file's one spec stamp.
 //!
 //! [`SnapshotStore`] writes one file per epoch (`epoch-NNNNNNNN.bdsnap`)
-//! via a synced temp file + rename, and [`SnapshotStore::load_latest`]
+//! via a synced temp file + rename. It performs that create, write,
+//! `fsync`, rename and directory sync, and `prune`'s unlinks, through the
+//! crate's durability layer (`disk.rs`), the one place that touches the
+//! disk and that [`crate::fault`] crashes. [`SnapshotStore::load_latest`]
 //! scans newest-first, skipping torn or corrupt files — a bad final write
 //! simply falls back to the previous epoch — but stopping at a file of
 //! another format version, which this build must neither read nor
@@ -46,183 +49,15 @@
 //! uninterrupted) is pinned by `tests/recovery.rs`; the round-trip law
 //! (`from_bytes(to_bytes(s))` bit-identical) by `tests/conformance.rs`.
 
+use crate::disk::Disk;
 use crate::registry::{DynSketch, Registry, RegistryError};
 use crate::service::EpochReport;
 use crate::spec::SketchSpec;
 use crate::state::{StateError, StateReader, StateWriter};
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::Duration;
-
-/// Crash-point fault injection for the durability tests.
-///
-/// A "crash" in-process: an armed [`FaultInjector`](fault::FaultInjector) makes the durable
-/// write path stop — or tear — at a chosen point, then poisons every
-/// further persistence operation with
-/// [`PersistError::FaultInjected`], so dropping the service afterwards
-/// models a process that died at exactly that instant. What recovery
-/// then observes on disk is precisely what a real crash at that point
-/// would have left behind (`tests/wal.rs` drives the sweep per
-/// mergeable family).
-pub mod fault {
-    use super::PersistError;
-    use std::fmt;
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    /// Where the injected crash lands relative to a WAL append and the
-    /// epoch-cut snapshot save that follows it.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum FaultPoint {
-        /// Die before the Nth append writes anything: the dispatched
-        /// cell is lost (exactly what a crash between dispatch and
-        /// append loses).
-        BeforeAppend,
-        /// Die mid-write of the Nth append: the segment ends in a torn
-        /// frame early in the record.
-        MidAppend,
-        /// Die after the Nth append is fully durable but before the next
-        /// snapshot save: the WAL tail alone carries the epoch.
-        AfterAppend,
-        /// Die leaving the Nth append torn just short of its checksum —
-        /// the adversarial torn-final-record shape.
-        TornTail,
-    }
-
-    impl fmt::Display for FaultPoint {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str(match self {
-                FaultPoint::BeforeAppend => "before-append",
-                FaultPoint::MidAppend => "mid-append",
-                FaultPoint::AfterAppend => "after-append",
-                FaultPoint::TornTail => "torn-tail",
-            })
-        }
-    }
-
-    impl std::str::FromStr for FaultPoint {
-        type Err = String;
-
-        fn from_str(s: &str) -> Result<Self, String> {
-            match s.trim() {
-                "before-append" => Ok(FaultPoint::BeforeAppend),
-                "mid-append" => Ok(FaultPoint::MidAppend),
-                "after-append" => Ok(FaultPoint::AfterAppend),
-                "torn-tail" => Ok(FaultPoint::TornTail),
-                other => Err(format!("`{other}` is not a fault point")),
-            }
-        }
-    }
-
-    /// Every injectable crash point, in sweep order.
-    pub const ALL_POINTS: [FaultPoint; 4] = [
-        FaultPoint::BeforeAppend,
-        FaultPoint::MidAppend,
-        FaultPoint::AfterAppend,
-        FaultPoint::TornTail,
-    ];
-
-    /// A crash plan: fire `point` on append number `after_appends`
-    /// (0-based count of appends completed before the trigger).
-    #[derive(Clone, Copy, Debug)]
-    pub struct FaultPlan {
-        /// Where the crash lands.
-        pub point: FaultPoint,
-        /// How many appends complete normally before it fires.
-        pub after_appends: usize,
-    }
-
-    /// What the writer must do with the frame it is about to append.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub enum AppendAction {
-        /// Append normally.
-        WriteAll,
-        /// Write only the first `n` frame bytes durably, then die.
-        WritePrefix(usize),
-        /// Append (and sync) the whole frame, then die before anything
-        /// else becomes durable.
-        WriteAllThenDie,
-        /// Die without writing.
-        Die,
-    }
-
-    /// Shared crash switch: armed once, consulted by the
-    /// [`WalWriter`](crate::wal::WalWriter) on every append and by the
-    /// [`SnapshotStore`](super::SnapshotStore) on every save. Once
-    /// fired, the injector stays dead — like the process it models.
-    #[derive(Debug)]
-    pub struct FaultInjector {
-        plan: FaultPlan,
-        appends: AtomicUsize,
-        dead: AtomicBool,
-    }
-
-    impl FaultInjector {
-        /// Arm a crash plan, shared between the service's store and WAL
-        /// writer.
-        pub fn arm(plan: FaultPlan) -> Arc<Self> {
-            Arc::new(FaultInjector {
-                plan,
-                appends: AtomicUsize::new(0),
-                dead: AtomicBool::new(false),
-            })
-        }
-
-        /// The crash point this injector models.
-        pub fn point(&self) -> FaultPoint {
-            self.plan.point
-        }
-
-        /// Whether the crash has fired.
-        pub fn fired(&self) -> bool {
-            self.dead.load(Ordering::SeqCst)
-        }
-
-        /// `Err(FaultInjected)` once the crash has fired — the poisoned
-        /// state every later persistence call observes.
-        pub fn ensure_alive(&self) -> Result<(), PersistError> {
-            if self.fired() {
-                Err(PersistError::FaultInjected(self.plan.point))
-            } else {
-                Ok(())
-            }
-        }
-
-        /// Decide the fate of the next append (frame of `frame_len`
-        /// bytes). Counts calls; fires the plan on the configured one.
-        pub fn on_append(&self, frame_len: usize) -> AppendAction {
-            if self.fired() {
-                return AppendAction::Die;
-            }
-            let n = self.appends.fetch_add(1, Ordering::SeqCst);
-            if n != self.plan.after_appends {
-                return AppendAction::WriteAll;
-            }
-            self.dead.store(true, Ordering::SeqCst);
-            match self.plan.point {
-                FaultPoint::BeforeAppend => AppendAction::Die,
-                // Tear early: the length prefix itself is cut short.
-                FaultPoint::MidAppend => {
-                    AppendAction::WritePrefix(frame_len.saturating_sub(1).min(3))
-                }
-                FaultPoint::AfterAppend => AppendAction::WriteAllThenDie,
-                // Tear late: everything but the tail of the checksum.
-                FaultPoint::TornTail => AppendAction::WritePrefix(frame_len.saturating_sub(2)),
-            }
-        }
-    }
-}
-
-/// Fsync a directory, making renames/creates/unlinks inside it durable.
-/// A rename is only crash-safe once the *directory entry* reaches disk —
-/// fsyncing the file alone leaves the name itself volatile.
-pub fn sync_dir(dir: impl AsRef<Path>) -> Result<(), PersistError> {
-    fs::File::open(dir.as_ref())?.sync_all()?;
-    Ok(())
-}
 
 /// Magic tag opening a sketch blob.
 pub const SKETCH_MAGIC: [u8; 4] = *b"BDSK";
@@ -283,10 +118,10 @@ pub enum PersistError {
     },
     /// The family doesn't advertise the persist capability.
     NotPersistable,
-    /// An armed [`fault::FaultInjector`] fired: the modeled process died
-    /// at this crash point (testing only — never produced in normal
+    /// An armed [`FaultInjector`](crate::fault::FaultInjector) fired: the
+    /// modeled process is dead (testing only — never produced in normal
     /// operation).
-    FaultInjected(fault::FaultPoint),
+    FaultInjected,
     /// The state blob inside the envelope is malformed.
     State(StateError),
     /// Rebuilding the sketch from the stamped spec failed.
@@ -313,9 +148,7 @@ impl fmt::Display for PersistError {
             PersistError::NotPersistable => {
                 write!(f, "family does not support state persistence")
             }
-            PersistError::FaultInjected(p) => {
-                write!(f, "injected crash fired at the {p} fault point")
-            }
+            PersistError::FaultInjected => write!(f, "injected crash: the process is dead"),
             PersistError::State(e) => write!(f, "snapshot state blob: {e}"),
             PersistError::Registry(e) => write!(f, "snapshot rebuild failed: {e}"),
         }
@@ -685,11 +518,12 @@ pub fn decode_snapshot(registry: &Registry, bytes: &[u8]) -> Result<SnapshotReco
 /// Writes are atomic (temp file + rename), so a crash mid-write leaves at
 /// worst a stray `.tmp` that [`SnapshotStore::load_latest`] never
 /// considers; reads are crash-tolerant (invalid files are skipped,
-/// newest-first).
+/// newest-first). A store and its clones write through one durability
+/// layer, which the service's log shares.
 #[derive(Clone, Debug)]
 pub struct SnapshotStore {
     dir: PathBuf,
-    fault: Option<Arc<fault::FaultInjector>>,
+    pub(crate) disk: Disk,
 }
 
 impl SnapshotStore {
@@ -697,14 +531,10 @@ impl SnapshotStore {
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, PersistError> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        Ok(SnapshotStore { dir, fault: None })
-    }
-
-    /// Attach a fault injector (crash-point testing only): once it
-    /// fires, every save fails with [`PersistError::FaultInjected`] —
-    /// the store behaves like one whose process is gone.
-    pub fn set_fault(&mut self, fault: Arc<fault::FaultInjector>) {
-        self.fault = Some(fault);
+        Ok(SnapshotStore {
+            dir,
+            disk: Disk::default(),
+        })
     }
 
     /// The directory this store writes into.
@@ -727,21 +557,18 @@ impl SnapshotStore {
         offered: u64,
         sketch: &dyn DynSketch,
     ) -> Result<PathBuf, PersistError> {
-        if let Some(fault) = &self.fault {
-            fault.ensure_alive()?;
-        }
         let bytes = encode_snapshot(spec, config, report, offered, sketch)?;
         let path = self.path_for(report.epoch);
         let tmp = self.dir.join(format!("epoch-{:08}.tmp", report.epoch));
         {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
+            let mut f = self.disk.create(&tmp)?;
+            self.disk.write(&mut f, &bytes)?;
+            self.disk.fsync(&f)?;
         }
-        fs::rename(&tmp, &path)?;
+        self.disk.rename(&tmp, &path)?;
         // The rename is only durable once the directory entry is — fsync
         // the directory so a power loss can't resurrect the old name.
-        sync_dir(&self.dir)?;
+        self.disk.sync_dir(&self.dir)?;
         Ok(path)
     }
 
@@ -749,7 +576,8 @@ impl SnapshotStore {
     /// disables pruning). Meant to run right after a successful
     /// [`SnapshotStore::save`], so the newest file — the one just
     /// written — is valid and is never deleted. Unlinks are made durable
-    /// with a directory fsync; returns the epochs removed.
+    /// with a directory fsync, and a file already gone counts as removed;
+    /// returns the epochs removed.
     pub fn prune(&self, retain: usize) -> Result<Vec<usize>, PersistError> {
         if retain == 0 {
             return Ok(Vec::new());
@@ -761,9 +589,9 @@ impl SnapshotStore {
         let cut = epochs.len() - retain;
         let doomed = epochs[..cut].to_vec();
         for &epoch in &doomed {
-            fs::remove_file(self.path_for(epoch))?;
+            self.disk.unlink(&self.path_for(epoch))?;
         }
-        sync_dir(&self.dir)?;
+        self.disk.sync_dir(&self.dir)?;
         Ok(doomed)
     }
 

@@ -58,17 +58,18 @@
 //! [`EpochReport`] carries the deletion-fraction / α accounting and the
 //! space watermark of the merged snapshot.
 
+use crate::disk::fault::FaultInjector;
 use crate::merge::{merge_tree, MergeReport};
-use crate::persist::{fault::FaultInjector, PersistError, SnapshotStore};
+use crate::persist::{PersistError, SnapshotStore};
 use crate::query::{QueryView, SnapshotHandle, SnapshotHub};
 use crate::registry::{DynSketch, Registry, RegistryError};
 use crate::runner::StreamRunner;
 use crate::space::SpaceReport;
 use crate::spec::{parse_u64, SketchSpec, SpecError};
+use crate::state::StateError;
 use crate::update::Update;
 use crate::wal::{self, SealedSegment, WalCell, WalPolicy, WalRecord, WalWriter};
 use std::fmt;
-use std::path::Path;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
@@ -615,9 +616,6 @@ pub struct StreamService {
     /// Offered position of the newest snapshot known durable — the WAL
     /// truncation horizon.
     last_persisted_offered: u64,
-    /// Armed crash injector (tests only), propagated to the store and
-    /// the WAL writer.
-    fault: Option<Arc<FaultInjector>>,
     /// The offered-stream position this service resumed from (0 for a
     /// fresh start): replay the source from this offset to catch up.
     recovered_from: usize,
@@ -717,7 +715,6 @@ impl StreamService {
             wal_records_epoch: 0,
             wal_bytes_epoch: 0,
             last_persisted_offered: 0,
-            fault: None,
             recovered_from: 0,
         }
     }
@@ -733,50 +730,48 @@ impl StreamService {
     /// after any segments already present), making the *between-cut*
     /// tail durable too — the only fallible part of attaching.
     pub fn persist_to(&mut self, store: SnapshotStore) -> Result<(), ServiceError> {
-        let mut store = store;
-        if let Some(fault) = &self.fault {
-            store.set_fault(Arc::clone(fault));
-        }
         if self.config.wal != WalPolicy::Off {
             let next_seq = wal::wal_segments(store.dir())?
                 .last()
                 .map_or(0, |(seq, _)| seq + 1);
-            self.open_wal(store.dir(), next_seq)?;
+            self.open_wal(&store, next_seq)?;
         }
         self.store = Some(store);
         Ok(())
     }
 
-    /// Open the write-ahead log in `dir` as segment `next_seq`, starting
-    /// at the current offered position, with any armed fault forwarded.
-    fn open_wal(&mut self, dir: &Path, next_seq: u64) -> Result<&mut WalWriter, PersistError> {
-        let mut writer = WalWriter::open(
-            dir,
+    /// Open the write-ahead log in `store`'s directory as segment
+    /// `next_seq`, starting at the current offered position and writing
+    /// through the store's durability layer.
+    fn open_wal(
+        &mut self,
+        store: &SnapshotStore,
+        next_seq: u64,
+    ) -> Result<&mut WalWriter, PersistError> {
+        let writer = WalWriter::open_on(
+            store.disk.clone(),
+            store.dir(),
             &self.spec.to_string(),
             &self.config.geometry_string(),
             self.config.wal,
             next_seq,
             self.offered as u64,
         )?;
-        if let Some(fault) = &self.fault {
-            writer.set_fault(Arc::clone(fault));
-        }
         Ok(self.wal.insert(writer))
     }
 
-    /// Arm a crash-point [`FaultInjector`] (testing only): the snapshot
-    /// store and the WAL writer consult it, and once it fires every
-    /// persistence operation fails with
-    /// [`PersistError::FaultInjected`] — dropping the service then
-    /// models a process that died at exactly that point.
+    /// Arm a crash [`FaultInjector`] (testing only) on the durability
+    /// layer of the attached store, which the log and every clone of the
+    /// store share: the injector counts every create, write, sync,
+    /// rename, unlink and `set_len` from here on, and once it fires every
+    /// further one fails with [`PersistError::FaultInjected`] — dropping
+    /// the service then models a process that died at exactly that point.
+    /// Without a store there is nothing to crash, and the call does
+    /// nothing.
     pub fn arm_fault(&mut self, fault: Arc<FaultInjector>) {
-        if let Some(store) = &mut self.store {
-            store.set_fault(Arc::clone(&fault));
+        if let Some(store) = &self.store {
+            store.disk.arm(fault);
         }
-        if let Some(wal) = &mut self.wal {
-            wal.set_fault(Arc::clone(&fault));
-        }
-        self.fault = Some(fault);
     }
 
     /// Cold-start from the newest valid snapshot in `store`, then keep
@@ -801,9 +796,10 @@ impl StreamService {
     ///
     /// An empty (or wholly-invalid) store is not an error: the service
     /// starts fresh with the store attached and `replay_from() == 0`. A
-    /// snapshot of another format version is an error
+    /// snapshot or WAL segment of another format version is an error
     /// ([`PersistError::UnsupportedVersion`]), not skipped: starting fresh
-    /// would overwrite that build's epochs.
+    /// would overwrite that build's epochs. So is an I/O error reading a
+    /// segment; either way every file is left in place.
     pub fn recover(
         registry: &Registry,
         spec: &SketchSpec,
@@ -843,20 +839,19 @@ impl StreamService {
                 report: rec.report,
             }));
         }
-        let dir = store.dir().to_path_buf();
-        svc.store = Some(store);
+        svc.store = Some(store.clone());
         // Replay the WAL tail beyond the snapshot cursor through the
         // normal dispatch path — the log replaces the source, so recovery
         // needs no re-offer. Records below the cursor are skipped; a
         // replayed epoch boundary re-cuts (and re-persists) the epoch the
         // crash lost.
-        let (sealed, max_seq) = svc.replay_wal_tail(&dir)?;
+        let (sealed, max_seq) = svc.replay_wal_tail(&store)?;
         svc.recovered_from = svc.offered;
         if svc.config.wal != WalPolicy::Off {
             // Past the highest sequence number seen, so the number of a
             // deleted torn final segment is never reused.
             let persisted = svc.last_persisted_offered;
-            let wal = svc.open_wal(&dir, max_seq.map_or(0, |s| s + 1))?;
+            let wal = svc.open_wal(&store, max_seq.map_or(0, |s| s + 1))?;
             // Old segments stay authoritative until a durable snapshot
             // covers them; prime them so the next truncation pass (or the
             // one right here, for segments the replayed cuts already
@@ -876,21 +871,21 @@ impl StreamService {
     /// the highest sequence number seen.
     fn replay_wal_tail(
         &mut self,
-        dir: &Path,
+        store: &SnapshotStore,
     ) -> Result<(Vec<SealedSegment>, Option<u64>), ServiceError> {
         self.replaying = true;
-        let replayed = self.replay_segments(dir);
+        let replayed = self.replay_segments(store);
         self.replaying = false;
         replayed
     }
 
     /// The scan behind [`StreamService::replay_wal_tail`], run with
-    /// `replaying` set.
+    /// `replaying` set; repairs go through the store's durability layer.
     fn replay_segments(
         &mut self,
-        dir: &Path,
+        store: &SnapshotStore,
     ) -> Result<(Vec<SealedSegment>, Option<u64>), ServiceError> {
-        let segments = wal::wal_segments(dir)?;
+        let segments = wal::wal_segments(store.dir())?;
         // Listed ascending, so the last segment has the highest number.
         let max_seq = segments.last().map(|&(seq, _)| seq);
         let mut sealed = Vec::new();
@@ -898,11 +893,22 @@ impl StreamService {
         for (seq, path) in segments {
             let scan = match wal::read_segment(&path) {
                 Ok(scan) => scan,
-                Err(_) if Some(seq) == max_seq => {
-                    // A final segment with an unreadable header is the
-                    // footprint of a crash during segment creation: the
-                    // records it might have held were never durable.
-                    let _ = std::fs::remove_file(&path);
+                // Another build's log, or one this process cannot read:
+                // refuse it rather than replay around it or delete it.
+                Err(e @ (PersistError::UnsupportedVersion(_) | PersistError::Io(_))) => {
+                    return Err(e.into())
+                }
+                Err(
+                    PersistError::BadMagic
+                    | PersistError::ChecksumMismatch
+                    | PersistError::State(StateError::Truncated),
+                ) if Some(seq) == max_seq => {
+                    // A final segment whose header is missing, cut short
+                    // or torn is the footprint of a crash during segment
+                    // creation: the records it might have held were never
+                    // durable.
+                    store.disk.unlink(&path)?;
+                    store.disk.sync_dir(store.dir())?;
                     break;
                 }
                 Err(_) => {
@@ -951,7 +957,7 @@ impl StreamService {
             if let Some(trunc) = scan.truncation {
                 // Make the repair physical so the next recovery (or an
                 // operator inspecting the file) sees a clean segment.
-                wal::truncate_segment(&path, trunc.valid_len)?;
+                wal::repair_segment(&store.disk, &path, trunc.valid_len)?;
                 intact = false;
             }
             sealed.push(SealedSegment {
@@ -1128,8 +1134,8 @@ impl StreamService {
         }
         if let Some(wal) = &mut self.wal {
             // Logged *after* dispatch: a crash between dispatch and append
-            // loses at most this one cell — the `before-append` fault
-            // point — and recovery treats it as never offered.
+            // (before the append's write) loses at most this one cell,
+            // and recovery treats it as never offered.
             let cell = if ingested {
                 WalCell::Batch(batch)
             } else {

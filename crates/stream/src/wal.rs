@@ -69,17 +69,21 @@
 //! window leaves an unreadable final segment — the "crash during
 //! creation" case recovery deletes), keeping the per-cut cost at one
 //! file sync plus one directory sync (`DESIGN.md §14` states the full
-//! durability matrix).
+//! durability matrix and the op sequence of each step).
+//!
+//! The writer performs each of these steps — create, write, `fdatasync`,
+//! `fsync`, directory sync, unlink, and [`truncate_segment`]'s `set_len` —
+//! through the crate's durability layer (`disk.rs`), which shares the
+//! snapshot store's crash switch ([`crate::fault`]) when the service opens
+//! the log.
 
-use crate::persist::{
-    crc32c, fault::FaultInjector, numbered_files, open, seal, sync_dir, PersistError,
-};
+use crate::disk::Disk;
+use crate::persist::{crc32c, numbered_files, open, seal, PersistError};
 use crate::spec::SpecError;
 use crate::state::{StateReader, StateWriter};
 use crate::update::Update;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::Arc;
@@ -444,37 +448,40 @@ pub fn read_segment(path: impl AsRef<Path>) -> Result<SegmentScan, PersistError>
 /// its valid prefix (as reported by [`read_segment`]) and fsync the file
 /// and its directory. Idempotent.
 pub fn truncate_segment(path: impl AsRef<Path>, valid_len: u64) -> Result<(), PersistError> {
-    let path = path.as_ref();
-    let f = fs::OpenOptions::new().write(true).open(path)?;
-    f.set_len(valid_len)?;
-    f.sync_all()?;
+    repair_segment(&Disk::default(), path.as_ref(), valid_len)
+}
+
+/// [`truncate_segment`] through `disk`.
+pub(crate) fn repair_segment(disk: &Disk, path: &Path, valid_len: u64) -> Result<(), PersistError> {
+    let file = disk.truncate(path, valid_len)?;
+    disk.fsync(&file)?;
     if let Some(dir) = path.parent() {
-        sync_dir(dir)?;
+        disk.sync_dir(dir)?;
     }
     Ok(())
 }
 
-/// Create one segment file. With `durable`, the header and the directory
-/// entry naming the file are fsynced before returning — required under
-/// [`WalPolicy::Batch`], whose first append may be acknowledged
-/// immediately after. Under [`WalPolicy::Epoch`] creation is *not*
-/// synced: the next seal ([`WalWriter::roll`]) covers both, and a crash
-/// in the window leaves at worst an unreadable final segment — exactly
-/// the "crash during creation" case recovery already deletes.
+/// Create segment `seq` in `dir` and write its `header`. With `durable`,
+/// the header and the directory entry naming the file are fsynced before
+/// returning — required under [`WalPolicy::Batch`], whose first append
+/// may be acknowledged immediately after. Under [`WalPolicy::Epoch`]
+/// creation is *not* synced: the next seal ([`WalWriter::roll`]) covers
+/// both, and a crash in the window leaves at worst an unreadable final
+/// segment — exactly the "crash during creation" case recovery already
+/// deletes.
 fn create_segment(
+    disk: &Disk,
     dir: &Path,
-    spec: &str,
-    config: &str,
     seq: u64,
-    start_offered: u64,
+    header: &[u8],
     durable: bool,
 ) -> Result<(fs::File, PathBuf), PersistError> {
     let path = dir.join(segment_file_name(seq));
-    let mut file = fs::File::create(&path)?;
-    file.write_all(&encode_header(spec, config, seq, start_offered))?;
+    let mut file = disk.create(&path)?;
+    disk.write(&mut file, header)?;
     if durable {
-        file.sync_all()?;
-        sync_dir(dir)?;
+        disk.fsync(&file)?;
+        disk.sync_dir(dir)?;
     }
     Ok((file, path))
 }
@@ -486,6 +493,7 @@ fn create_segment(
 /// (the service never constructs one under `off`), and lives in the same
 /// directory as the [`SnapshotStore`](crate::persist::SnapshotStore).
 pub struct WalWriter {
+    disk: Disk,
     dir: PathBuf,
     spec: String,
     config: String,
@@ -495,9 +503,7 @@ pub struct WalWriter {
     file: fs::File,
     path: PathBuf,
     sealed: Vec<SealedSegment>,
-    records: u64,
     bytes: u64,
-    fault: Option<Arc<FaultInjector>>,
     scratch: Vec<u8>,
 }
 
@@ -508,15 +514,15 @@ impl fmt::Debug for WalWriter {
             .field("policy", &self.policy)
             .field("seq", &self.seq)
             .field("end_offered", &self.end_offered)
-            .field("records", &self.records)
             .finish_non_exhaustive()
     }
 }
 
 impl WalWriter {
     /// Open a writer in `dir`, creating segment `seq` starting at offered
-    /// position `start_offered`. The segment file (and the directory
-    /// entry for it) are durable before this returns.
+    /// position `start_offered`. Under [`WalPolicy::Batch`] the segment
+    /// file (and the directory entry for it) are durable before this
+    /// returns.
     pub fn open(
         dir: impl AsRef<Path>,
         spec: &str,
@@ -525,18 +531,26 @@ impl WalWriter {
         seq: u64,
         start_offered: u64,
     ) -> Result<Self, PersistError> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir)?;
-        let (file, path) = create_segment(
-            &dir,
-            spec,
-            config,
-            seq,
-            start_offered,
-            policy == WalPolicy::Batch,
-        )?;
+        let disk = Disk::default();
+        Self::open_on(disk, dir.as_ref(), spec, config, policy, seq, start_offered)
+    }
+
+    /// [`WalWriter::open`] writing through `disk`.
+    pub(crate) fn open_on(
+        disk: Disk,
+        dir: &Path,
+        spec: &str,
+        config: &str,
+        policy: WalPolicy,
+        seq: u64,
+        start_offered: u64,
+    ) -> Result<Self, PersistError> {
+        fs::create_dir_all(dir)?;
+        let header = encode_header(spec, config, seq, start_offered);
+        let (file, path) = create_segment(&disk, dir, seq, &header, policy == WalPolicy::Batch)?;
         Ok(WalWriter {
-            dir,
+            disk,
+            dir: dir.to_path_buf(),
             spec: spec.to_string(),
             config: config.to_string(),
             policy,
@@ -545,22 +559,15 @@ impl WalWriter {
             file,
             path,
             sealed: Vec::new(),
-            records: 0,
             bytes: 0,
-            fault: None,
             scratch: Vec::new(),
         })
     }
 
     fn open_segment(&mut self, seq: u64, start_offered: u64) -> Result<(), PersistError> {
-        let (file, path) = create_segment(
-            &self.dir,
-            &self.spec,
-            &self.config,
-            seq,
-            start_offered,
-            self.policy == WalPolicy::Batch,
-        )?;
+        let header = encode_header(&self.spec, &self.config, seq, start_offered);
+        let durable = self.policy == WalPolicy::Batch;
+        let (file, path) = create_segment(&self.disk, &self.dir, seq, &header, durable)?;
         self.seq = seq;
         self.end_offered = start_offered;
         self.file = file;
@@ -568,31 +575,9 @@ impl WalWriter {
         Ok(())
     }
 
-    /// The directory this writer logs into.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The active segment's sequence number.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Records appended over this writer's lifetime.
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
     /// Frame bytes appended over this writer's lifetime.
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Attach a fault injector (crash-point testing only): appends and
-    /// rolls consult it, and once it fires every further operation fails
-    /// with [`PersistError::FaultInjected`].
-    pub fn set_fault(&mut self, fault: Arc<FaultInjector>) {
-        self.fault = Some(fault);
     }
 
     /// Register segments that already existed before this writer opened
@@ -607,52 +592,14 @@ impl WalWriter {
     /// written but synced only at the next [`WalWriter::roll`]. Returns
     /// the frame bytes appended.
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64, PersistError> {
-        use crate::persist::fault::AppendAction;
-        // Encode into the writer's reusable buffer (taken, not borrowed,
-        // so the stats updates below don't fight the borrow checker; the
-        // fault early-returns may drop it — those paths are test-only).
-        let mut frame = std::mem::take(&mut self.scratch);
-        encode_record_into(&mut frame, rec);
-        let action = match &self.fault {
-            Some(f) => f.on_append(frame.len()),
-            None => AppendAction::WriteAll,
-        };
-        match action {
-            AppendAction::Die => {
-                return Err(PersistError::FaultInjected(
-                    self.fault.as_ref().unwrap().point(),
-                ))
-            }
-            AppendAction::WritePrefix(n) => {
-                // A torn append: the durable file ends mid-frame, exactly
-                // what a real crash mid-write leaves behind.
-                self.file.write_all(&frame[..n.min(frame.len())])?;
-                self.file.sync_data()?;
-                return Err(PersistError::FaultInjected(
-                    self.fault.as_ref().unwrap().point(),
-                ));
-            }
-            AppendAction::WriteAll | AppendAction::WriteAllThenDie => {
-                self.file.write_all(&frame)?;
-                if self.policy == WalPolicy::Batch {
-                    self.file.sync_data()?;
-                }
-            }
+        encode_record_into(&mut self.scratch, rec);
+        self.disk.write(&mut self.file, &self.scratch)?;
+        if self.policy == WalPolicy::Batch {
+            self.disk.fdatasync(&self.file)?;
         }
         self.end_offered = rec.end_offered();
-        self.records += 1;
-        let frame_len = frame.len() as u64;
+        let frame_len = self.scratch.len() as u64;
         self.bytes += frame_len;
-        self.scratch = frame;
-        if matches!(action, AppendAction::WriteAllThenDie) {
-            // The append is fully durable; the "process" dies before the
-            // next persistence step (the crash point between an append
-            // and the snapshot save).
-            self.file.sync_data()?;
-            return Err(PersistError::FaultInjected(
-                self.fault.as_ref().unwrap().point(),
-            ));
-        }
         Ok(frame_len)
     }
 
@@ -662,15 +609,12 @@ impl WalWriter {
     /// [`WalPolicy::Epoch`] the seal also fsyncs the directory — segment
     /// creation deferred the entry's durability to exactly this point.
     pub fn roll(&mut self, offered: u64) -> Result<(), PersistError> {
-        if let Some(f) = &self.fault {
-            f.ensure_alive()?;
-        }
-        // `sync_data`, not `sync_all`: replay needs the frames and the
-        // file size (fdatasync flushes both), not timestamps — skipping
-        // the pure-metadata journal commit at every seal.
-        self.file.sync_data()?;
+        // `fdatasync`, not `fsync`: replay needs the frames and the file
+        // size (fdatasync flushes both), not timestamps — skipping the
+        // pure-metadata journal commit at every seal.
+        self.disk.fdatasync(&self.file)?;
         if self.policy == WalPolicy::Epoch {
-            sync_dir(&self.dir)?;
+            self.disk.sync_dir(&self.dir)?;
         }
         self.sealed.push(SealedSegment {
             seq: self.seq,
@@ -683,22 +627,16 @@ impl WalWriter {
     /// Delete every sealed segment whose records are entirely covered by
     /// a durable snapshot at offered position `offered`, then fsync the
     /// directory so the unlinks survive power loss. The active segment is
-    /// never deleted.
+    /// never deleted, and a segment already gone counts as deleted.
     pub fn truncate_through(&mut self, offered: u64) -> Result<usize, PersistError> {
         let mut deleted = 0;
-        self.sealed.retain(|seg| {
-            if seg.end_offered <= offered {
-                // A segment that is already gone is fine — truncation is
-                // idempotent across recoveries.
-                let _ = fs::remove_file(&seg.path);
-                deleted += 1;
-                false
-            } else {
-                true
-            }
-        });
+        for seg in self.sealed.iter().filter(|seg| seg.end_offered <= offered) {
+            self.disk.unlink(&seg.path)?;
+            deleted += 1;
+        }
+        self.sealed.retain(|seg| seg.end_offered > offered);
         if deleted > 0 {
-            sync_dir(&self.dir)?;
+            self.disk.sync_dir(&self.dir)?;
         }
         Ok(deleted)
     }
@@ -770,7 +708,6 @@ mod tests {
         for r in [&r1, &r2, &r3] {
             w.append(r).unwrap();
         }
-        assert_eq!(w.records(), 3);
         let scan = read_segment(dir.join(segment_file_name(0))).unwrap();
         assert_eq!(scan.header.spec, "spec");
         assert_eq!(scan.header.config, "cfg");

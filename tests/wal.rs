@@ -1,6 +1,6 @@
 //! Write-ahead-log conformance: the tentpole law **crash anywhere →
-//! recover ≡ uninterrupted**, now at *dispatch* granularity instead of
-//! epoch granularity.
+//! recover ≡ uninterrupted**, at the granularity of single durability
+//! operations.
 //!
 //! The dispatch thread writes every dispatched cell to the log before
 //! `ingest` returns, under every fsync policy: `wal=batch` also fsyncs it,
@@ -8,33 +8,39 @@
 //! service fed from a non-replayable source (a live channel with no
 //! `ingest(&slice)` to re-offer) that dies in-process loses at most the
 //! one cell in flight, and a failed append fails the `ingest` call that
-//! dispatched the cell. These suites crash a persisted service, under
-//! both policies, at every injectable fault point (`bd_stream::fault`:
-//! die before an append, die mid-append, die after the append but before
-//! the covering snapshot, and the adversarial torn-final-record),
-//! cold-start a second service (`StreamService::recover` = newest
-//! snapshot + WAL tail replay), feed the remaining source from
+//! dispatched the cell.
+//!
+//! The snapshot store and the log perform every create, write, sync,
+//! rename, unlink and `set_len` through one durability layer, and
+//! `bd_stream::fault` crashes it at operation `k` (optionally tearing a
+//! write early or late). These suites record a persisted multi-epoch run's
+//! operations, crash the same run at each of them under both policies,
+//! cold-start a second service (`StreamService::recover`: the newest
+//! snapshot plus the WAL tail), feed the remaining source from
 //! [`StreamService::replay_from`], and pin the continuation against an
 //! uninterrupted run: bit-identical where the family claims
 //! `merge_bitwise`, estimate-equal otherwise — the same per-family
-//! contract as `tests/recovery.rs`, tightened from epoch cuts down to
-//! single appends (`DESIGN.md §14`).
+//! contract as `tests/recovery.rs` (`DESIGN.md §14`).
 //!
 //! Torn or bit-flipped WAL tails are always *total*: the damaged frame
 //! ends the replayable chain with a physical truncation repair, never a
-//! panic. The `BD_FAULT` env knob (`before-append` / `mid-append` /
-//! `after-append` / `torn-tail`) restricts the sweep to one crash point;
-//! CI re-runs the suite under the `BD_SHARD_THREADS` matrix.
+//! panic. The `BD_FAULT` env knob narrows the sweeps: an operation kind
+//! (`create`, `write`, `fdatasync`, `fsync`, `dirsync`, `rename`,
+//! `unlink`, `set_len`) keeps the plain crashes at that kind of operation,
+//! `torn` keeps the torn writes. CI re-runs the suite under the
+//! `BD_SHARD_THREADS` matrix.
 
 mod common;
 
-use bd_stream::fault::{FaultInjector, FaultPlan, FaultPoint, ALL_POINTS};
+use bd_stream::fault::{DiskOp, FaultInjector, FaultPlan, Tear};
 use bd_stream::{
     wal_segments, Capabilities, FamilyInfo, PersistError, Registry, ServiceConfig, ServiceError,
-    SnapshotStore, SpaceInputs, StreamService,
+    SnapshotStore, SpaceInputs, StreamService, WAL_VERSION,
 };
 use bounded_deletions::prelude::*;
-use common::{assert_probes_match, conformance_spec, probe, stream};
+use common::{assert_probes_match, conformance_spec, probe, stream, ProbeVal};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Worker count under test: the CI matrix knob, defaulting to the
 /// contended shape (the fixed [1, 3] sweep is covered by the matrix).
@@ -46,16 +52,37 @@ fn threads() -> usize {
         .unwrap_or(3)
 }
 
-/// The crash points under sweep: all four, or the one `BD_FAULT` names.
-fn fault_points() -> Vec<FaultPoint> {
-    match std::env::var("BD_FAULT") {
-        Ok(v) => vec![v.parse().expect("BD_FAULT must name a fault point")],
-        Err(_) => ALL_POINTS.to_vec(),
+/// Every operation kind with its `BD_FAULT` name.
+const OP_NAMES: [(DiskOp, &str); 8] = [
+    (DiskOp::Create, "create"),
+    (DiskOp::Write, "write"),
+    (DiskOp::SyncData, "fdatasync"),
+    (DiskOp::SyncAll, "fsync"),
+    (DiskOp::SyncDir, "dirsync"),
+    (DiskOp::Rename, "rename"),
+    (DiskOp::Unlink, "unlink"),
+    (DiskOp::SetLen, "set_len"),
+];
+
+/// Whether a crash case is in the sweep: every case, or only those
+/// `BD_FAULT` names — plain crashes at one operation kind, or `torn`
+/// writes.
+fn selected(plan: FaultPlan, ops: &[DiskOp]) -> bool {
+    let Ok(want) = std::env::var("BD_FAULT") else {
+        return true;
+    };
+    if want == "torn" {
+        return plan.tear.is_some();
     }
+    let (kind, _) = OP_NAMES
+        .iter()
+        .find(|(_, name)| *name == want)
+        .unwrap_or_else(|| panic!("BD_FAULT=`{want}` is neither an operation kind nor `torn`"));
+    plan.tear.is_none() && ops[plan.op] == *kind
 }
 
 /// Service shape shared with `tests/recovery.rs`, plus the per-batch
-/// fsync policy (the crash sweep also runs every case under `epoch`).
+/// fsync policy (the crash sweeps also run every case under `epoch`).
 fn wal_config(stream_len: usize, threads: usize) -> ServiceConfig {
     ServiceConfig::default()
         .with_epoch((stream_len as u64) / 3)
@@ -64,12 +91,16 @@ fn wal_config(stream_len: usize, threads: usize) -> ServiceConfig {
         .with_wal(WalPolicy::Batch)
 }
 
-/// A self-cleaning snapshot+WAL directory under the OS temp dir.
+/// A self-cleaning snapshot+WAL directory under the OS temp dir, unique
+/// per call (both crash sweeps run `exact` cases, concurrently).
 struct TempDir(std::path::PathBuf);
 
 impl TempDir {
     fn new(tag: &str) -> Self {
-        let dir = std::env::temp_dir().join(format!("bd-wal-{tag}-{}", std::process::id()));
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let pid = std::process::id();
+        let dir = std::env::temp_dir().join(format!("bd-wal-{tag}-{pid}-{n}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         TempDir(dir)
@@ -86,102 +117,262 @@ impl Drop for TempDir {
     }
 }
 
-/// The acceptance law: for every persistable mergeable family, every
-/// injectable crash point, and both logging policies, a service persisted
-/// under `wal=batch` or `wal=epoch` that dies mid-epoch — after a clean
-/// first epoch, so the crash exercises the snapshot + WAL-tail interplay
-/// — recovers and, fed the remaining source from `replay_from()`, ends in
-/// the state the uninterrupted run reached.
+/// One family's crash sweep: the stream, the service shape (`retain=1`,
+/// so every cut after the first also prunes), and the end state of the
+/// uninterrupted run every crashed run must reach.
+struct Sweep {
+    family: SketchFamily,
+    spec: SketchSpec,
+    cfg: ServiceConfig,
+    s: StreamBatch,
+    bitwise: bool,
+    want: EpochReport,
+    want_probe: Vec<ProbeVal>,
+}
+
+/// How an armed run ended: the error of the call that died (if one did),
+/// the updates offered by the calls that returned `Ok`, and the updates
+/// offered through the call that died.
+struct Outcome {
+    error: Option<ServiceError>,
+    ok: usize,
+    end: usize,
+}
+
+impl Sweep {
+    /// The sweep for one family, with its uninterrupted reference run (no
+    /// store: the log only opens when persistence is attached, and neither
+    /// `wal=` nor `retain=` is part of the dispatch geometry, so one
+    /// reference serves both policies).
+    fn new(info: &FamilyInfo) -> Self {
+        let s = stream(0xA1);
+        let spec = conformance_spec(info.family);
+        let cfg = wal_config(s.len(), threads()).with_retain(1);
+        let mut un = StreamService::start(registry(), &spec, cfg).unwrap();
+        let mut snaps = un.ingest(&s.updates).unwrap();
+        snaps.extend(un.finish().unwrap());
+        let want = snaps.pop().unwrap();
+        Sweep {
+            family: info.family,
+            spec,
+            cfg,
+            bitwise: info.caps.merge_bitwise,
+            want: want.report,
+            want_probe: probe(want.sketch.as_ref()),
+            s,
+        }
+    }
+
+    /// Where the injector is armed: 13 whole cells in, past the first cut
+    /// (epoch 1 persisted, its segment truncated) and short of the
+    /// second.
+    fn armed_at(&self) -> usize {
+        let at = 13 * self.cfg.chunk;
+        assert!(at > self.cfg.epoch as usize && at < 2 * self.cfg.epoch as usize);
+        at
+    }
+
+    /// Run the service persisted into `dir` under `policy`: the stream up
+    /// to [`Sweep::armed_at`], then `fault` armed, then the rest one grid
+    /// cell per `ingest` call (so the calls that returned `Ok` bound the
+    /// resume point from below), then `finish`.
+    fn run(&self, policy: WalPolicy, dir: &TempDir, fault: Arc<FaultInjector>) -> Outcome {
+        let cfg = self.cfg.with_wal(policy);
+        let mut svc = StreamService::start(registry(), &self.spec, cfg).unwrap();
+        svc.persist_to(dir.store()).unwrap();
+        let mut ok = self.armed_at();
+        svc.ingest(&self.s.updates[..ok]).unwrap();
+        svc.arm_fault(fault);
+        for call in self.s.updates[ok..].chunks(cfg.chunk) {
+            let end = ok + call.len();
+            if let Err(e) = svc.ingest(call) {
+                return Outcome {
+                    error: Some(e),
+                    ok,
+                    end,
+                };
+            }
+            ok = end;
+        }
+        Outcome {
+            error: svc.finish().err(),
+            ok,
+            end: ok,
+        }
+    }
+
+    /// The operations the run performs under `policy`, from arming to its
+    /// end.
+    fn ops(&self, policy: WalPolicy) -> Vec<DiskOp> {
+        let dir = TempDir::new(&format!("{}-ops", self.family.name()));
+        let recorder = FaultInjector::recorder();
+        let outcome = self.run(policy, &dir, Arc::clone(&recorder));
+        assert!(outcome.error.is_none(), "{:?}", outcome.error);
+        recorder.ops()
+    }
+
+    /// Crash the run per `plan` at one of its recorded `ops`, recover,
+    /// feed the rest of the source from `replay_from()`, and pin the end
+    /// state to the uninterrupted run's.
+    fn crash(&self, policy: WalPolicy, plan: FaultPlan, ops: &[DiskOp]) {
+        let tear = plan.tear.map_or(String::new(), |t| format!(" torn {t:?}"));
+        let name = format!(
+            "{} (threads = {}, wal = {policy}, crash at op {} {:?}{tear})",
+            self.family,
+            threads(),
+            plan.op,
+            ops[plan.op],
+        );
+        let dir = TempDir::new(self.family.name());
+        let fault = FaultInjector::arm(plan);
+        let outcome = self.run(policy, &dir, Arc::clone(&fault));
+        assert!(
+            matches!(
+                outcome.error,
+                Some(ServiceError::Persist(PersistError::FaultInjected))
+            ),
+            "{name}: the crash must fail the call it hits: {:?}",
+            outcome.error
+        );
+        assert_eq!(
+            fault.ops(),
+            ops[..=plan.op],
+            "{name}: the run left the recorded operations"
+        );
+
+        // Cold-start: newest snapshot + WAL tail replay. `Ok` from a call
+        // meant its cells were logged, and nothing beyond the failed call
+        // was ever offered.
+        let cfg = self.cfg.with_wal(policy);
+        let mut rec = StreamService::recover(registry(), &self.spec, cfg, dir.store())
+            .unwrap_or_else(|e| panic!("{name}: recovery failed: {e}"));
+        let from = rec.replay_from();
+        assert!(
+            outcome.ok <= from && from <= outcome.end,
+            "{name}: resumed at {from}, outside [{}, {}]",
+            outcome.ok,
+            outcome.end
+        );
+        assert!(rec.latest().is_some(), "{name}: nothing served on boot");
+
+        // Feed the rest of the source and pin the final state: the last
+        // snapshot published, which is the recovered one when the crash
+        // outran only the cleanup after the final cut.
+        let hub = rec.handle();
+        rec.ingest(&self.s.updates[from..]).unwrap();
+        rec.finish().unwrap();
+        let view = hub.latest().unwrap();
+        let g = view.snapshot();
+        assert_eq!(g.report.epoch, self.want.epoch, "{name}");
+        assert_eq!(g.report.total_updates, self.s.len(), "{name}: lost updates");
+        assert_eq!(g.report.total_inserted, self.want.total_inserted, "{name}");
+        assert_eq!(g.report.total_deleted, self.want.total_deleted, "{name}");
+        assert_probes_match(
+            &name,
+            &self.want_probe,
+            &probe(g.sketch.as_ref()),
+            self.bitwise,
+        );
+    }
+}
+
+/// Every plain crash and every torn write at each of `ops`.
+fn every_op(ops: &[DiskOp]) -> Vec<FaultPlan> {
+    let mut plans = Vec::new();
+    for (op, kind) in ops.iter().enumerate() {
+        plans.push(FaultPlan { op, tear: None });
+        if *kind == DiskOp::Write {
+            for tear in [Tear::Early, Tear::Late] {
+                plans.push(FaultPlan {
+                    op,
+                    tear: Some(tear),
+                });
+            }
+        }
+    }
+    plans
+}
+
+/// The points of a recorded run where family state and the log meet:
+/// before the fourth append after arming (the first after the second cut),
+/// with it torn early and late, right after it (durable, before the
+/// covering snapshot's save), inside that save, and inside the roll before
+/// it (the new segment's header torn short of its checksum).
+fn spot_checks(ops: &[DiskOp]) -> Vec<FaultPlan> {
+    let first = |kind: DiskOp| {
+        ops.iter()
+            .position(|&op| op == kind)
+            .unwrap_or_else(|| panic!("no {kind:?}: {ops:?}"))
+    };
+    // Appends are the writes that do not fill a just-created file.
+    let appends: Vec<usize> = (0..ops.len())
+        .filter(|&k| ops[k] == DiskOp::Write && (k == 0 || ops[k - 1] != DiskOp::Create))
+        .collect();
+    let append = appends[3];
+    // Past the append's own fdatasync under `batch`.
+    let after = append + 1 + usize::from(ops[append + 1] == DiskOp::SyncData);
+    // The first file created after arming is the roll's new segment.
+    let header = first(DiskOp::Create) + 1;
+    [
+        (append, None),
+        (append, Some(Tear::Early)),
+        (append, Some(Tear::Late)),
+        (after, None),
+        (first(DiskOp::Rename), None),
+        (header, Some(Tear::Late)),
+    ]
+    .map(|(op, tear)| FaultPlan { op, tear })
+    .to_vec()
+}
+
+/// The crash law at every durability operation: for `exact`
+/// (`merge_bitwise`) and `alpha_hh` (estimate-equal), under both logging
+/// policies, a persisted run crashed at each operation from arming to the
+/// end of the run — every append, roll, segment creation, snapshot save,
+/// log truncation and prune — and at each write torn early and late,
+/// recovers and ends in the uninterrupted run's state.
+#[test]
+fn crash_at_every_durability_op_recovers() {
+    for family in [SketchFamily::Exact, SketchFamily::AlphaHh] {
+        let sweep = Sweep::new(registry().info(family).unwrap());
+        for policy in [WalPolicy::Batch, WalPolicy::Epoch] {
+            let ops = sweep.ops(policy);
+            // The swept stretch holds cuts with every kind of step.
+            for kind in [DiskOp::Rename, DiskOp::Unlink, DiskOp::SyncAll] {
+                assert!(
+                    ops.contains(&kind),
+                    "{family} {policy}: no {kind:?}: {ops:?}"
+                );
+            }
+            for plan in every_op(&ops) {
+                if selected(plan, &ops) {
+                    sweep.crash(policy, plan, &ops);
+                }
+            }
+        }
+    }
+}
+
+/// The crash law for every persistable mergeable family, under both
+/// logging policies, at [`spot_checks`]. The operations are recorded once
+/// per policy, on `exact`: they depend on the dispatch geometry alone, and
+/// every crashed run checks that it performed them.
 #[test]
 fn crash_at_every_fault_point_recovers_for_every_mergeable_family() {
-    let s = stream(0xA1);
-    let threads = threads();
-    let points = fault_points();
+    let exact = Sweep::new(registry().info(SketchFamily::Exact).unwrap());
+    let recorded = [WalPolicy::Batch, WalPolicy::Epoch].map(|policy| (policy, exact.ops(policy)));
     let mut covered = Vec::new();
     for info in registry().families() {
         if !(info.caps.mergeable && info.caps.persist) {
             continue;
         }
         covered.push(info.family.name());
-        let spec = conformance_spec(info.family);
-        let cfg = wal_config(s.len(), threads);
-
-        // The uninterrupted reference run (no store: the WAL only opens
-        // when persistence is attached, and `wal=` is not part of the
-        // dispatch geometry, so the runs are comparable).
-        let mut un = StreamService::start(registry(), &spec, cfg).unwrap();
-        let mut want = un.ingest(&s.updates).unwrap();
-        want.extend(un.finish().unwrap());
-        let want_last = want.last().unwrap();
-
-        for point in &points {
-            for policy in [WalPolicy::Batch, WalPolicy::Epoch] {
-                let cfg = cfg.with_wal(policy);
-                let name = format!(
-                    "{} (threads = {threads}, fault = {point}, wal = {policy})",
-                    info.family
-                );
-                let dir = TempDir::new(&format!(
-                    "{}-{threads}-{point}-{policy}",
-                    info.family.name()
-                ));
-
-                // A clean first stretch — epoch 1 persisted, its WAL segment
-                // truncated — then the armed crash a few appends later.
-                let mut svc = StreamService::start(registry(), &spec, cfg).unwrap();
-                svc.persist_to(dir.store()).unwrap();
-                let stop = s.len() * 5 / 9;
-                svc.ingest(&s.updates[..stop]).unwrap();
-                svc.arm_fault(FaultInjector::arm(FaultPlan {
-                    point: *point,
-                    after_appends: 3,
-                }));
-                let died = svc
-                    .ingest(&s.updates[stop..])
-                    .expect_err("the armed fault must surface as an ingest error");
-                assert!(
-                    matches!(died, ServiceError::Persist(PersistError::FaultInjected(_))),
-                    "{name}: wrong crash error: {died}"
-                );
-                drop(svc); // the process is gone; only the durable state survives
-
-                // Cold-start: newest snapshot + WAL tail replay. The resume
-                // point must lie beyond the snapshot cut — the WAL carried
-                // dispatched cells the epoch-granular store never saw.
-                let mut rec = StreamService::recover(registry(), &spec, cfg, dir.store())
-                    .unwrap_or_else(|e| panic!("{name}: recovery failed: {e}"));
-                let from = rec.replay_from();
-                assert!(
-                    from > cfg.epoch as usize,
-                    "{name}: resume point {from} not beyond the snapshot cut {}",
-                    cfg.epoch
-                );
-                assert!(
-                    from <= stop + 4 * cfg.chunk,
-                    "{name}: resume point {from} claims updates never offered"
-                );
-                assert!(rec.latest().is_some(), "{name}: nothing served on boot");
-
-                // Feed the rest of the source and pin the final state.
-                let mut got = rec.ingest(&s.updates[from..]).unwrap();
-                got.extend(rec.finish().unwrap());
-                let g = got.last().unwrap();
-                assert_eq!(g.report.epoch, want_last.report.epoch, "{name}");
-                assert_eq!(g.report.total_updates, s.len(), "{name}: lost updates");
-                assert_eq!(
-                    g.report.total_inserted, want_last.report.total_inserted,
-                    "{name}"
-                );
-                assert_eq!(
-                    g.report.total_deleted, want_last.report.total_deleted,
-                    "{name}"
-                );
-                assert_probes_match(
-                    &name,
-                    &probe(want_last.sketch.as_ref()),
-                    &probe(g.sketch.as_ref()),
-                    info.caps.merge_bitwise,
-                );
+        let sweep = Sweep::new(info);
+        for (policy, ops) in &recorded {
+            for plan in spot_checks(ops) {
+                if selected(plan, ops) {
+                    sweep.crash(*policy, plan, ops);
+                }
             }
         }
     }
@@ -203,17 +394,12 @@ fn wal_errors_fail_the_call_that_logged_the_cell() {
         let dir = TempDir::new(&format!("call-error-{policy}"));
         let mut svc = StreamService::start(registry(), &spec, cfg).unwrap();
         svc.persist_to(dir.store()).unwrap();
-        svc.arm_fault(FaultInjector::arm(FaultPlan {
-            point: FaultPoint::BeforeAppend,
-            after_appends: 0,
-        }));
+        // Op 0 after arming is the append's write.
+        svc.arm_fault(FaultInjector::arm(FaultPlan { op: 0, tear: None }));
         // Exactly one grid cell: the call dispatches it and logs it.
         let got = svc.ingest(&s.updates[..cfg.chunk]);
         assert!(
-            matches!(
-                got,
-                Err(ServiceError::Persist(PersistError::FaultInjected(_)))
-            ),
+            matches!(got, Err(ServiceError::Persist(PersistError::FaultInjected))),
             "wal={policy}: {got:?}"
         );
     }
@@ -604,4 +790,146 @@ fn persisted_cuts_truncate_the_log() {
     // Nothing left to replay: recovery resumes exactly at the end.
     let rec = StreamService::recover(registry(), &spec, cfg, dir.store()).unwrap();
     assert_eq!(rec.replay_from(), s.len());
+}
+
+/// The durability protocol, operation by operation: one cell, one cut
+/// (roll, new segment, snapshot save, log truncation, prune) and two
+/// recovery repairs, as a never-firing injector logs them under each
+/// logging policy (the table in `DESIGN.md §14`). An in-process crash
+/// cannot tell a missing `fsync`, so only this pin stops a change from
+/// adding, dropping or weakening a sync unseen.
+#[test]
+fn durability_ops_keep_their_order() {
+    use DiskOp::*;
+    let s = stream(0x0B5);
+    let spec = conformance_spec(SketchFamily::Exact);
+    for policy in [WalPolicy::Batch, WalPolicy::Epoch] {
+        let batch = policy == WalPolicy::Batch;
+        let chunk = 512;
+        let cfg = ServiceConfig::default()
+            .with_epoch(2 * chunk as u64)
+            .with_threads(2)
+            .with_chunk(chunk)
+            .with_wal(policy)
+            .with_retain(1);
+        let dir = TempDir::new(&format!("ops-{policy}"));
+        // The store's clones share its durability layer, so the recoveries
+        // below write through the armed recorder too.
+        let store = dir.store();
+        let mut svc = StreamService::start(registry(), &spec, cfg).unwrap();
+        svc.persist_to(store.clone()).unwrap();
+        let log = FaultInjector::recorder();
+        svc.arm_fault(Arc::clone(&log));
+        let mut seen = 0;
+        let mut next = || {
+            let ops = log.ops();
+            let new = ops[seen..].to_vec();
+            seen = ops.len();
+            new
+        };
+        let pick = |on: bool, ops: &[DiskOp]| if on { ops.to_vec() } else { Vec::new() };
+
+        // One cell: written, and under `batch` fdatasynced.
+        let cell = [vec![Write], pick(batch, &[SyncData])].concat();
+        svc.ingest(&s.updates[..chunk]).unwrap();
+        assert_eq!(next(), cell, "wal={policy}: cell");
+
+        // The first cut has no older snapshot to prune; the second does.
+        let roll = [vec![SyncData], pick(!batch, &[SyncDir])].concat();
+        let segment = [vec![Create, Write], pick(batch, &[SyncAll, SyncDir])].concat();
+        let save = vec![Create, Write, SyncAll, Rename, SyncDir];
+        let truncation = vec![Unlink, SyncDir];
+        let prune = vec![Unlink, SyncDir];
+        let cut =
+            |prune: &[DiskOp]| [&cell[..], &roll, &segment, &save, &truncation, prune].concat();
+        svc.ingest(&s.updates[chunk..2 * chunk]).unwrap();
+        assert_eq!(next(), cut(&[]), "wal={policy}: first cut");
+        svc.ingest(&s.updates[2 * chunk..3 * chunk]).unwrap();
+        assert_eq!(next(), cell, "wal={policy}: cell");
+        svc.ingest(&s.updates[3 * chunk..4 * chunk]).unwrap();
+        assert_eq!(next(), cut(&prune), "wal={policy}: second cut with prune");
+
+        // A crash leaves a bit-flipped final record: recovery repairs the
+        // segment in place, opens the next one, and deletes the repaired
+        // segment, which the persisted cut now covers.
+        svc.ingest(&s.updates[4 * chunk..5 * chunk]).unwrap();
+        assert_eq!(next(), cell, "wal={policy}: cell");
+        drop(svc);
+        let (_, live) = wal_segments(&dir.0).unwrap().pop().unwrap();
+        let mut raw = std::fs::read(&live).unwrap();
+        let at = raw.len() - 6;
+        raw[at] ^= 0x20;
+        std::fs::write(&live, &raw).unwrap();
+        let repair = [SetLen, SyncAll, SyncDir];
+        let rec = StreamService::recover(registry(), &spec, cfg, store.clone()).unwrap();
+        assert_eq!(rec.replay_from(), 4 * chunk);
+        assert_eq!(
+            next(),
+            [&repair[..], &segment, &truncation].concat(),
+            "wal={policy}: recovery repair"
+        );
+        drop(rec);
+
+        // A final segment torn during creation is unlinked, and the
+        // unlink made durable.
+        std::fs::write(dir.0.join("wal-00000009.bdwal"), b"BDW").unwrap();
+        let rec = StreamService::recover(registry(), &spec, cfg, store.clone()).unwrap();
+        assert_eq!(rec.replay_from(), 4 * chunk);
+        assert_eq!(
+            next(),
+            [&[Unlink, SyncDir][..], &segment, &truncation].concat(),
+            "wal={policy}: torn final segment"
+        );
+    }
+}
+
+/// Every file in `dir`, by name, with its bytes.
+fn files(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut out: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// A WAL segment of another format version was written by another build:
+/// recovery stops with `UnsupportedVersion` and touches no file, instead
+/// of treating the segment as a torn creation, deleting it and resuming
+/// at the older snapshot.
+#[test]
+fn recovery_refuses_a_foreign_wal_version() {
+    let s = stream(0x5F);
+    let spec = conformance_spec(SketchFamily::Exact);
+    let cfg = wal_config(s.len(), 2);
+    let dir = TempDir::new("wal-version");
+    let mut svc = StreamService::start(registry(), &spec, cfg).unwrap();
+    svc.persist_to(dir.store()).unwrap();
+    svc.ingest(&s.updates[..11 * cfg.chunk]).unwrap(); // past the first cut
+    drop(svc);
+
+    // Re-stamp the live segment's header with the next version and a
+    // valid checksum.
+    let (_, live) = wal_segments(&dir.0).unwrap().pop().unwrap();
+    let mut raw = std::fs::read(&live).unwrap();
+    let foreign = WAL_VERSION + 1;
+    raw[4..6].copy_from_slice(&foreign.to_le_bytes());
+    let sealed = 10 + u32::from_le_bytes(raw[6..10].try_into().unwrap()) as usize;
+    let crc = bd_stream::persist::crc32c(&raw[..sealed]);
+    raw[sealed..sealed + 4].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&live, &raw).unwrap();
+    let before = files(&dir.0);
+
+    let got = StreamService::recover(registry(), &spec, cfg, dir.store());
+    assert!(
+        matches!(
+            got,
+            Err(ServiceError::Persist(PersistError::UnsupportedVersion(v))) if v == foreign
+        ),
+        "{got:?}"
+    );
+    assert_eq!(files(&dir.0), before, "recovery changed the store");
 }
