@@ -41,9 +41,9 @@ use bd_core::AlphaHeavyHitters;
 use bd_hash::{simd, M61Elem};
 use bd_stream::gen::BoundedDeletionGen;
 use bd_stream::{
-    merge_tree, sketch_from_bytes, sketch_to_bytes, DynSketch, OverflowPolicy, QueryClient,
-    QueryServer, QueryView, Request, ServiceConfig, SketchFamily, SketchSpec, SnapshotStore,
-    StreamBatch, StreamRunner, StreamService, WalPolicy,
+    merge_tree, sketch_from_bytes, sketch_to_bytes, DynSketch, QueryClient, QueryServer, QueryView,
+    Request, ServiceConfig, SketchFamily, SketchSpec, SnapshotStore, StreamBatch, StreamRunner,
+    StreamService, WalPolicy,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -347,8 +347,8 @@ fn main() {
         },
     ));
     // Per-kernel SIMD rows: the same degree-4 Horner evaluation through
-    // every kernel this machine offers (scalar reference, portable lanes,
-    // AVX2 where detected), on pre-canonicalized points — isolating the
+    // every kernel this machine offers (the scalar reference, and AVX2
+    // where detected), on pre-canonicalized points — isolating the
     // field arithmetic itself. The dispatched kernel is whichever of these
     // `active_level()` picked; the ratio against `hash/simd_scalar_eval_k4`
     // is the measured vectorization speedup.
@@ -641,13 +641,12 @@ fn main() {
     );
 
     // Overload microsection: a bursty time-shaped stream through bounded
-    // worker queues (`DESIGN.md §12`) under both overflow policies. The
-    // assertions are the point as much as the timings: the queue-depth
-    // watermark stays within the structural `depth × threads` cap, `block`
-    // loses nothing, `drop` accounts exactly for what it sheds, and RSS
-    // stays bounded across the whole section (the regression this section
-    // pins down is the old unbounded channel absorbing the backlog into
-    // memory). `scripts/bench_compare.sh` asserts the section exists.
+    // worker queues (`DESIGN.md §12`). The assertions are the point as much
+    // as the timing: the queue-depth watermark stays within the structural
+    // `depth × threads` cap, back-pressure loses nothing, and RSS stays
+    // bounded across the whole section (the regression this section pins
+    // down is the old unbounded channel absorbing the backlog into memory).
+    // `scripts/bench_compare.sh` asserts the section exists.
     const OVERLOAD_DEPTH: usize = 64;
     println!(
         "\nservice_overload — burst workload through bounded queues \
@@ -660,60 +659,44 @@ fn main() {
         .with_chunk(512)
         .with_depth(OVERLOAD_DEPTH);
     let rss_before = rss_bytes();
-    let mut overload_stats: Vec<String> = Vec::new();
-    for policy in [OverflowPolicy::Block, OverflowPolicy::Drop] {
-        let cfg = overload_cfg.with_overflow(policy);
-        let cap = cfg.depth * cfg.threads;
-        let last_report = Mutex::new(None);
-        let m = micro::sample(
-            &format!("service_overload/burst_{policy}_d{OVERLOAD_DEPTH}"),
-            burst.len() as u64,
-            SAMPLES,
-            WARMUP,
-            |s| {
-                let mut svc = StreamService::start(registry(), &base.with_seed(s as u64), cfg)
-                    .expect("servable spec");
-                let mut snaps = svc.ingest(&burst.updates).expect("overload ingest");
-                snaps.extend(svc.finish().expect("final cut"));
-                let last = snaps.last().expect("epochs").report;
-                for sn in &snaps {
-                    assert!(
-                        sn.report.queue_peak <= cap,
-                        "queue peak {} exceeds depth × threads = {cap}",
-                        sn.report.queue_peak
-                    );
-                }
-                match policy {
-                    OverflowPolicy::Block => {
-                        assert_eq!(last.total_dropped_updates, 0, "block must not shed");
-                        assert_eq!(last.total_updates, burst.len(), "block lost updates");
-                    }
-                    OverflowPolicy::Drop => assert_eq!(
-                        last.total_updates + last.total_dropped_updates,
-                        burst.len(),
-                        "drop accounting must reconcile"
-                    ),
-                }
-                *last_report.lock().unwrap() = Some(last);
-                std::hint::black_box(last.queue_peak);
-            },
-        );
-        micro::report(&m);
-        let last = last_report.into_inner().unwrap().expect("one pass ran");
-        println!(
-            "  {policy}: queue peak {} / cap {cap}, blocked {:.2} ms, \
-             dropped {} updates ({:.1}% of offered)\n",
-            last.queue_peak,
-            last.blocked.as_secs_f64() * 1e3,
-            last.total_dropped_updates,
-            100.0 * last.total_dropped_updates as f64 / last.total_offered_updates() as f64
-        );
-        overload_stats.push(format!(
-            "{policy}:peak={}/{cap},dropped={}",
-            last.queue_peak, last.total_dropped_updates
-        ));
-        results.push(m);
-    }
+    let cap = overload_cfg.depth * overload_cfg.threads;
+    let last_report = Mutex::new(None);
+    let m = micro::sample(
+        &format!("service_overload/burst_block_d{OVERLOAD_DEPTH}"),
+        burst.len() as u64,
+        SAMPLES,
+        WARMUP,
+        |s| {
+            let mut svc = StreamService::start(registry(), &base.with_seed(s as u64), overload_cfg)
+                .expect("servable spec");
+            let mut snaps = svc.ingest(&burst.updates).expect("overload ingest");
+            snaps.extend(svc.finish().expect("final cut"));
+            let last = snaps.last().expect("epochs").report;
+            for sn in &snaps {
+                assert!(
+                    sn.report.queue_peak <= cap,
+                    "queue peak {} exceeds depth × threads = {cap}",
+                    sn.report.queue_peak
+                );
+            }
+            assert_eq!(
+                last.total_updates,
+                burst.len(),
+                "back-pressure lost updates"
+            );
+            *last_report.lock().unwrap() = Some(last);
+            std::hint::black_box(last.queue_peak);
+        },
+    );
+    micro::report(&m);
+    let last = last_report.into_inner().unwrap().expect("one pass ran");
+    println!(
+        "  block: queue peak {} / cap {cap}, blocked {:.2} ms\n",
+        last.queue_peak,
+        last.blocked.as_secs_f64() * 1e3
+    );
+    let mut overload_stats = vec![format!("block:peak={}/{cap}", last.queue_peak)];
+    results.push(m);
     // Bounded-RSS acceptance: back-pressure (not memory) absorbs overload.
     // The bound is generous — the old unbounded channels buffered the whole
     // backlog (tens of MiB of `Cmd`s and their batch copies per pass and

@@ -5,9 +5,8 @@
 //! sketchctl workloads                     list the workload grammar
 //! sketchctl parse  <spec>                 normalize/validate a spec string
 //! sketchctl run    <spec> [workload]      build, ingest, query, score
-//! sketchctl serve  --spec <spec> [--epoch N] [--threads N] [--chunk N]
-//!                  [--depth N] [--overflow block|drop]
-//!                  [--service service:epoch=..,threads=..,depth=..,overflow=..]
+//! sketchctl serve  --spec <spec>
+//!                  [--service service:epoch=..,threads=..,chunk=..,depth=..,wal=..,retain=..]
 //!                  [--persist DIR] [--recover] [--listen ADDR] [workload]
 //!                                         long-lived StreamService: epoch
 //!                                         snapshots while ingestion runs,
@@ -38,7 +37,7 @@
 //! cargo run --release -p bd-bench --bin sketchctl -- \
 //!     run csss:n=2^16,eps=0.05,alpha=8,seed=42 bounded:n=2^16,mass=400000,alpha=8
 //! cargo run --release -p bd-bench --bin sketchctl -- \
-//!     serve --spec csss:n=1e6,eps=0.05,alpha=8,seed=42 --epoch 100000 --threads 4
+//!     serve --spec csss:n=1e6,eps=0.05,alpha=8,seed=42 --service service:epoch=1e5,threads=4
 //! ```
 //!
 //! `run` ingests the workload through the `StreamRunner`, then exercises
@@ -70,9 +69,9 @@
 use bd_bench::workload;
 use bd_bench::{fmt_bits, registry, Table};
 use bd_stream::{
-    DynSketch, EpochReport, ErrorCode, FrequencyVector, OverflowPolicy, QueryClient, QueryServer,
-    Request, Response, SampleOutcome, ServiceConfig, SketchSpec, SnapshotStore, StreamBatch,
-    StreamRunner, StreamService, WalPolicy,
+    DynSketch, EpochReport, ErrorCode, FrequencyVector, QueryClient, QueryServer, Request,
+    Response, SampleOutcome, ServiceConfig, SketchSpec, SnapshotStore, StreamBatch, StreamRunner,
+    StreamService, WalPolicy,
 };
 use std::io::Write as _;
 use std::process::ExitCode;
@@ -81,9 +80,7 @@ use std::time::{Duration, Instant};
 fn usage() -> ExitCode {
     eprintln!(
         "usage: sketchctl <families|workloads|parse <spec>|run <spec> [workload]|\
-         serve --spec <spec> [--epoch N] [--threads N] [--chunk N] \
-         [--depth N] [--overflow block|drop] [--service <cfg>] \
-         [--persist DIR] [--recover] [--wal off|batch|epoch] [--retain N] \
+         serve --spec <spec> [--service <cfg>] [--persist DIR] [--recover] \
          [--listen ADDR] [workload]|\
          loadgen --addr ADDR [--readers N] [--requests N] [--batch K] \
          [--universe N] [--shutdown]>"
@@ -105,31 +102,16 @@ fn main() -> ExitCode {
             None => usage(),
         },
         Some("serve") => {
-            // `--service` carries the spec-grammar config string; the
-            // individual flags override its fields regardless of argument
-            // order (flags are collected first, applied after the base
-            // config is known). Remaining positionals are `[workload]`
-            // (plus `--spec <spec>` / a bare spec).
+            // `--service` carries the whole service shape as a
+            // spec-grammar config string. Remaining positionals are
+            // `[workload]` (plus `--spec <spec>` / a bare spec).
             let mut cfg = ServiceConfig::default();
-            let (mut epoch, mut threads, mut chunk, mut depth) = (None, None, None, None);
-            let mut overflow: Option<OverflowPolicy> = None;
-            let mut wal: Option<WalPolicy> = None;
-            let mut retain: Option<usize> = None;
             let mut spec_str: Option<&str> = None;
             let mut listen: Option<&str> = None;
             let mut persist: Option<&str> = None;
             let mut recover = false;
             let mut positional: Vec<&str> = Vec::new();
             let mut rest = args[1..].iter();
-            let parse_flag = |flag: &str, v: Option<&String>| -> Option<u64> {
-                match v.and_then(|v| v.parse::<u64>().ok()) {
-                    Some(x) if x >= 1 => Some(x),
-                    _ => {
-                        eprintln!("{flag} expects a positive integer");
-                        None
-                    }
-                }
-            };
             while let Some(arg) = rest.next() {
                 match arg.as_str() {
                     "--service" => match rest.next().map(|s| s.parse::<ServiceConfig>()) {
@@ -137,8 +119,7 @@ fn main() -> ExitCode {
                         _ => {
                             eprintln!(
                                 "--service expects \
-                                 service:epoch=..,threads=..,chunk=..,depth=..,\
-                                 overflow=..,wal=..,retain=.."
+                                 service:epoch=..,threads=..,chunk=..,depth=..,wal=..,retain=.."
                             );
                             return usage();
                         }
@@ -156,56 +137,12 @@ fn main() -> ExitCode {
                         None => return usage(),
                     },
                     "--recover" => recover = true,
-                    "--epoch" | "-e" => match parse_flag("--epoch", rest.next()) {
-                        Some(x) => epoch = Some(x),
-                        None => return usage(),
-                    },
-                    "--threads" | "-t" => match parse_flag("--threads", rest.next()) {
-                        Some(x) => threads = Some(x as usize),
-                        None => return usage(),
-                    },
-                    "--chunk" => match parse_flag("--chunk", rest.next()) {
-                        Some(x) => chunk = Some(x as usize),
-                        None => return usage(),
-                    },
-                    "--depth" => match parse_flag("--depth", rest.next()) {
-                        Some(x) => depth = Some(x as usize),
-                        None => return usage(),
-                    },
-                    "--overflow" => match rest.next().map(|s| s.parse::<OverflowPolicy>()) {
-                        Some(Ok(p)) => overflow = Some(p),
-                        _ => {
-                            eprintln!("--overflow expects `block` or `drop`");
-                            return usage();
-                        }
-                    },
-                    "--wal" => match rest.next().map(|s| s.parse::<WalPolicy>()) {
-                        Some(Ok(p)) => wal = Some(p),
-                        _ => {
-                            eprintln!("--wal expects `off`, `batch`, or `epoch`");
-                            return usage();
-                        }
-                    },
-                    "--retain" => match rest.next().and_then(|v| v.parse::<usize>().ok()) {
-                        Some(n) => retain = Some(n),
-                        None => {
-                            eprintln!("--retain expects an integer (0 keeps every epoch)");
-                            return usage();
-                        }
-                    },
                     _ => positional.push(arg),
                 }
             }
-            cfg.epoch = epoch.unwrap_or(cfg.epoch);
-            cfg.threads = threads.unwrap_or(cfg.threads);
-            cfg.chunk = chunk.unwrap_or(cfg.chunk);
-            cfg.depth = depth.unwrap_or(cfg.depth);
-            cfg.overflow = overflow.unwrap_or(cfg.overflow);
-            cfg.wal = wal.unwrap_or(cfg.wal);
-            cfg.retain = retain.unwrap_or(cfg.retain);
             if cfg.wal != WalPolicy::Off && persist.is_none() {
                 eprintln!(
-                    "--wal {} requires --persist DIR (the log lives there)",
+                    "wal={} requires --persist DIR (the log lives there)",
                     cfg.wal
                 );
                 return usage();
@@ -608,14 +545,10 @@ fn serve(
             fmt_bits(rep.space_bits())
         );
         println!(
-            "           queue peak {:>4} (cap {} = depth x threads)  blocked {:>7.2} ms  \
-             dropped {} updates / {} mass ({:.1}% of offered)",
+            "           queue peak {:>4} (cap {} = depth x threads)  blocked {:>7.2} ms",
             rep.queue_peak,
             cfg.depth * cfg.threads,
-            rep.blocked.as_secs_f64() * 1e3,
-            rep.dropped_updates,
-            rep.dropped_mass,
-            rep.drop_fraction() * 100.0
+            rep.blocked.as_secs_f64() * 1e3
         );
         if cfg.wal != WalPolicy::Off {
             println!(
@@ -637,14 +570,6 @@ fn serve(
             }
         );
         // Snapshot ≡ replay: a fresh sequential run over the same prefix.
-        // Under the drop policy the ingested stream is a policy-chosen
-        // subsequence, not a prefix — `stream.updates[..total_updates]` is
-        // the wrong reference, so the law is not checkable from here (the
-        // exact-accounting reconciliation in tests/service.rs covers it).
-        if rep.total_dropped_updates > 0 {
-            println!("           snapshot ≡ sequential prefix: skipped (drop policy shed updates)");
-            continue;
-        }
         let mut seq = reg.build(&spec).expect("spec built once already");
         StreamRunner::new().run_updates(&mut *seq, &stream.updates[..rep.total_updates]);
         let (got, want) = (

@@ -62,8 +62,8 @@ impl RowHashes {
     /// Evaluate `h`'s raw polynomial over the chunk and append `f(value)`
     /// per item to `out` — the shared core of every row evaluation. The
     /// polynomial runs [`simd::KERNEL_WIDTH`] points at a time on the
-    /// process's active vector kernel (AVX2 / portable lanes / interleaved
-    /// scalar — [`simd::active_kernel`]), with a scalar Horner tail;
+    /// process's active vector kernel (AVX2 or interleaved scalar —
+    /// [`simd::active_kernel`]), with a scalar Horner tail;
     /// bit-identical to per-item evaluation at every dispatch level.
     fn append_map<T>(&self, h: &KWiseHash, out: &mut Vec<T>, f: impl Fn(u64) -> T) {
         let coeffs = h.coeffs();

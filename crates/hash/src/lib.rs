@@ -13,9 +13,9 @@
 //! * [`batch`] — the chunk-at-a-time evaluation engine: [`RowHashes`] plans
 //!   canonicalize a chunk once and evaluate every row's polynomial over it
 //!   through the dispatched vector kernel (the batched-ingest hot path);
-//! * [`simd`] — the vectorized field kernels: the portable 4-lane
-//!   [`M61x4`] type, the AVX2 fast path, and the runtime dispatch
-//!   (`BD_SIMD` overridable, scalar fallback always available);
+//! * [`simd`] — the vectorized field kernels: the AVX2 fast path and the
+//!   runtime dispatch (`BD_SIMD` overridable, scalar fallback always
+//!   available);
 //! * [`prime`] — exact Miller–Rabin and random primes in `[D, D^3]`
 //!   (fingerprints of Figure 6, universe reduction of Theorem 2);
 //! * [`bits`] — `lsb`, logarithms, and bit-width accounting used by the L0
@@ -44,6 +44,6 @@ pub use field::{M61Elem, M61};
 pub use kwise::{reduce_range, KWiseHash, SignHash};
 pub use modred::{mod_streaming, mod_streaming_limbs, StreamingMod};
 pub use prime::{is_prime, random_prime_in, random_prime_window};
-pub use simd::{M61x4, SimdLevel};
+pub use simd::SimdLevel;
 pub use stable::CauchyRow;
 pub use uniform::KWiseUniform;

@@ -78,7 +78,7 @@ fn row_plan_is_bit_identical_to_scalar() {
 #[test]
 fn every_simd_kernel_matches_scalar_and_definition() {
     // SIMD ≡ scalar ≡ definition: every kernel this machine offers (scalar,
-    // portable, AVX2 where detected) must agree bit-for-bit with the Horner
+    // AVX2 where detected) must agree bit-for-bit with the Horner
     // definition, for every independence class the workspace uses, with
     // adversarial (≥ 2^61, u64::MAX) points visiting every lane position —
     // the sweep windows slide by one, so each value crosses every `÷ 4`

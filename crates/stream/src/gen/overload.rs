@@ -4,7 +4,7 @@
 //! workloads elsewhere in [`gen`](crate::gen): they concentrate update mass
 //! into phases that saturate a [`StreamService`](crate::service::StreamService)
 //! dispatcher faster than its workers drain, which is exactly the regime the
-//! `depth`/`overflow` knobs exist for (DESIGN.md §12).
+//! bounded queues and their back-pressure exist for (DESIGN.md §12).
 //!
 //! * [`BurstGen`] — alternating hot bursts and quiet diverse phases; the
 //!   bursts arrive faster than the steady-state service rate.

@@ -17,6 +17,8 @@
 //!
 //! **Malformed peers:** a frame that fails the cap, the decoder, or UTF-8
 //! closes that connection — never panics, never affects other connections.
+//! A well-formed request whose answer would not fit in one frame is
+//! answered with [`ErrorCode::BadRequest`], and the connection stays open.
 //!
 //! **Shutdown:** [`Request::Shutdown`] is acknowledged, then the server's
 //! stop flag is set: the accept loop exits and every connection thread
@@ -25,7 +27,9 @@
 //! when the ingest source ends).
 
 use crate::query::{QueryError, SnapshotHandle};
-use crate::wire::{read_frame_until, write_frame, ErrorCode, Request, Response, WireReport};
+use crate::wire::{
+    read_frame_until, write_frame, ErrorCode, Request, Response, WireReport, MAX_FRAME,
+};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
@@ -200,8 +204,18 @@ fn serve_connection(
             stop.store(true, SeqCst);
             break;
         }
-        let resp = answer(&req, &handle, &mut scratch);
-        resp.encode(&mut payload);
+        answer(&req, &handle, &mut scratch).encode(&mut payload);
+        if payload.len() > MAX_FRAME {
+            let message = format!(
+                "the answer takes {} bytes, over the {MAX_FRAME}-byte frame cap",
+                payload.len()
+            );
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                message,
+            }
+            .encode(&mut payload);
+        }
         write_frame(&mut sock, &payload)?;
     }
     Ok(())
@@ -247,8 +261,6 @@ fn answer(req: &Request, handle: &SnapshotHandle, scratch: &mut Vec<f64>) -> Res
                 alpha_observed: rep.alpha_observed(),
                 space_bits: rep.space_bits(),
                 threads: rep.threads as u32,
-                total_dropped_updates: rep.total_dropped_updates as u64,
-                total_dropped_mass: rep.total_dropped_mass,
                 queue_peak: rep.queue_peak as u64,
                 blocked_us: rep.blocked.as_micros() as u64,
                 wal_records: rep.wal_records as u64,
@@ -323,13 +335,13 @@ mod tests {
     use std::io::Write as _;
 
     fn hub_with_values(stamp: usize, values: &[(u64, i64)]) -> SnapshotHub {
-        let mut fv = FrequencyVector::new(64);
+        let mut fv = FrequencyVector::new(1 << 16);
         for &(i, d) in values {
             crate::sketch::Sketch::update(&mut fv, i, d);
         }
         let hub = SnapshotHub::new();
         hub.publish(Arc::new(Snapshot {
-            spec: SketchSpec::new(SketchFamily::Exact).with_n(64),
+            spec: SketchSpec::new(SketchFamily::Exact).with_n(1 << 16),
             sketch: Box::new(fv),
             report: EpochReport {
                 epoch: 1,
@@ -340,10 +352,7 @@ mod tests {
                 total_inserted: 90,
                 total_deleted: 30,
                 alpha_configured: 2.0,
-                dropped_updates: 0,
-                dropped_mass: 0,
                 total_dropped_updates: 0,
-                total_dropped_mass: 0,
                 queue_peak: 0,
                 blocked: Duration::ZERO,
                 space: SpaceReport::default(),
@@ -469,6 +478,35 @@ mod tests {
         let mut client = QueryClient::connect(server.local_addr()).unwrap();
         match client.request(&Request::Point { item: 1 }).unwrap() {
             Response::Point { estimate, .. } => assert_eq!(estimate, 5.0),
+            other => panic!("wrong response: {other:?}"),
+        }
+        server.join();
+    }
+
+    /// An answer larger than one frame is refused as a bad request and the
+    /// connection stays usable: heavy hitters listing all 2^16 items, and
+    /// the largest point batch a request frame carries (its answer is 5
+    /// bytes over the cap).
+    #[test]
+    fn oversized_answers_are_refused_not_fatal() {
+        let every: Vec<(u64, i64)> = (0..1 << 16).map(|i| (i, 1)).collect();
+        let hub = hub_with_values(10, &every);
+        let server = QueryServer::bind("127.0.0.1:0", hub.handle()).unwrap();
+        let mut client = QueryClient::connect(server.local_addr()).unwrap();
+        let largest_batch = (MAX_FRAME as u64 - 5) / 8; // kind, count, items
+        for req in [
+            Request::HeavyHitters { threshold: 0.5 },
+            Request::PointBatch {
+                items: (0..largest_batch).collect(),
+            },
+        ] {
+            match client.request(&req).unwrap() {
+                Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+                other => panic!("wrong response: {:?}", std::mem::discriminant(&other)),
+            }
+        }
+        match client.request(&Request::Point { item: 7 }).unwrap() {
+            Response::Point { estimate, .. } => assert_eq!(estimate, 1.0),
             other => panic!("wrong response: {other:?}"),
         }
         server.join();

@@ -44,8 +44,8 @@
 //! disk and that [`crate::fault`] crashes. [`SnapshotStore::load_latest`]
 //! scans newest-first, skipping torn or corrupt files — a bad final write
 //! simply falls back to the previous epoch — but stopping at a file of
-//! another format version, which this build must neither read nor
-//! overwrite. Recovery correctness (persist → restart → replay-tail ≡
+//! another format version, or one it cannot read, which this build must
+//! neither skip nor overwrite. Recovery correctness (persist → restart → replay-tail ≡
 //! uninterrupted) is pinned by `tests/recovery.rs`; the round-trip law
 //! (`from_bytes(to_bytes(s))` bit-identical) by `tests/conformance.rs`.
 
@@ -68,8 +68,9 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"BDSN";
 /// Format version stamped into snapshot files and sketch blobs. Decoders
 /// reject any other ([`PersistError::UnsupportedVersion`]); bumping this is
 /// the contract for any layout change. Version 2 moved snapshot files onto
-/// the CRC-32C envelope and stamps the spec once, in the sketch blob.
-pub const PERSIST_VERSION: u16 = 2;
+/// the CRC-32C envelope and stamps the spec once, in the sketch blob;
+/// version 3 drops the four shed-load counters (the service sheds nothing).
+pub const PERSIST_VERSION: u16 = 3;
 
 /// Hard cap on a snapshot payload or sketch state blob. Snapshots carry
 /// whole sketch tables, so the cap is wider than the wire layer's 1 MiB
@@ -419,13 +420,9 @@ pub fn encode_snapshot(
     // restores these so the continuation's totals stay monotone).
     p.u64(report.total_inserted);
     p.u64(report.total_deleted);
-    p.u64(report.total_dropped_updates as u64);
-    p.u64(report.total_dropped_mass);
     p.u64(report.updates as u64);
     p.u64(report.inserted_mass);
     p.u64(report.deleted_mass);
-    p.u64(report.dropped_updates as u64);
-    p.u64(report.dropped_mass);
     p.f64(report.alpha_configured);
     p.u64(report.queue_peak as u64);
     p.u64(duration_nanos(report.blocked));
@@ -460,13 +457,9 @@ pub fn decode_snapshot(registry: &Registry, bytes: &[u8]) -> Result<SnapshotReco
     let offered = p.u64()?;
     let total_inserted = p.u64()?;
     let total_deleted = p.u64()?;
-    let total_dropped_updates = p.u64()? as usize;
-    let total_dropped_mass = p.u64()?;
     let updates = p.u64()? as usize;
     let inserted_mass = p.u64()?;
     let deleted_mass = p.u64()?;
-    let dropped_updates = p.u64()? as usize;
-    let dropped_mass = p.u64()?;
     let alpha_configured = p.f64()?;
     let queue_peak = p.u64()? as usize;
     let blocked = Duration::from_nanos(p.u64()?);
@@ -489,10 +482,7 @@ pub fn decode_snapshot(registry: &Registry, bytes: &[u8]) -> Result<SnapshotReco
         total_inserted,
         total_deleted,
         alpha_configured,
-        dropped_updates,
-        dropped_mass,
-        total_dropped_updates,
-        total_dropped_mass,
+        total_dropped_updates: 0,
         queue_peak,
         blocked,
         space,
@@ -617,16 +607,20 @@ impl SnapshotStore {
     /// the previous epoch: this is the crash-tolerance contract.
     ///
     /// A file of another format version is
-    /// [`PersistError::UnsupportedVersion`], not skipped: it was written
-    /// by another build, and falling back past it would let this one
-    /// overwrite that build's epochs. A crash cannot leave such a header
-    /// behind, because [`SnapshotStore::save`] only renames a synced file
-    /// into place.
+    /// [`PersistError::UnsupportedVersion`], and one this process cannot
+    /// read is [`PersistError::Io`]; neither is skipped. The first was
+    /// written by another build, and falling back past either would
+    /// resume behind the log's truncation horizon and let later cuts
+    /// overwrite the file. A crash cannot leave such a file behind,
+    /// because [`SnapshotStore::save`] only renames a synced file into
+    /// place.
     pub fn load_latest(&self, registry: &Registry) -> Result<Option<SnapshotRecord>, PersistError> {
         for epoch in self.epochs()?.into_iter().rev() {
             match self.load_epoch(registry, epoch) {
                 Ok(rec) => return Ok(Some(rec)),
-                Err(e @ PersistError::UnsupportedVersion(_)) => return Err(e),
+                Err(e @ (PersistError::UnsupportedVersion(_) | PersistError::Io(_))) => {
+                    return Err(e)
+                }
                 Err(_) => {}
             }
         }
@@ -748,10 +742,7 @@ mod tests {
             total_inserted: 400,
             total_deleted: 90,
             alpha_configured: 4.0,
-            dropped_updates: 0,
-            dropped_mass: 0,
             total_dropped_updates: 0,
-            total_dropped_mass: 0,
             queue_peak: 5,
             blocked: Duration::from_nanos(777),
             space: sk.space(),
@@ -815,10 +806,7 @@ mod tests {
             total_inserted: 10,
             total_deleted: 0,
             alpha_configured: 2.0,
-            dropped_updates: 0,
-            dropped_mass: 0,
             total_dropped_updates: 0,
-            total_dropped_mass: 0,
             queue_peak: 0,
             blocked: Duration::ZERO,
             space: sk.space(),

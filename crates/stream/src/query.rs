@@ -359,10 +359,7 @@ mod tests {
                 total_inserted: 0,
                 total_deleted: 0,
                 alpha_configured: 2.0,
-                dropped_updates: 0,
-                dropped_mass: 0,
                 total_dropped_updates: 0,
-                total_dropped_mass: 0,
                 queue_peak: 0,
                 blocked: Duration::ZERO,
                 space: SpaceReport::default(),

@@ -18,11 +18,10 @@
 //!    queue ([`ServiceConfig::depth`] commands); the service dispatches
 //!    incoming update batches round-robin in [`ServiceConfig::chunk`]-sized
 //!    slices, so every update lands on a deterministic worker regardless of
-//!    call-boundary shapes. A producer faster than the slowest worker meets
-//!    the configured [`OverflowPolicy`] — back-pressure (`block`, default)
-//!    or counted load-shedding (`drop`) — instead of growing an unbounded
-//!    backlog, so the service's footprint stays
-//!    `O(threads × depth × chunk)` updates in flight (DESIGN.md §12);
+//!    call-boundary shapes. A producer faster than the slowest worker
+//!    blocks (back-pressure) instead of growing an unbounded backlog, so
+//!    the service's footprint stays `O(threads × depth × chunk)` updates in
+//!    flight and it ingests exactly what was offered (DESIGN.md §12);
 //! 3. every [`ServiceConfig::epoch`] updates (or on demand) the service
 //!    *cuts an epoch*: it enqueues a snapshot command behind each worker's
 //!    pending batches, collects one [`DynSketch::clone_dyn`] per worker, and
@@ -77,48 +76,18 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What the dispatcher does when a worker's bounded command queue is full.
+/// What the dispatcher does when a worker's bounded command queue is full:
+/// it blocks until the worker drains a slot. Back-pressure is the
+/// service's one overload behaviour, so what it ingests is exactly what was
+/// offered.
 ///
-/// Parses from (and displays as) `block` / `drop` — the `overflow=` value in
-/// the [`ServiceConfig`] grammar.
+/// A one-variant shim for perfbench's
+/// `ServiceConfig::with_overflow(OverflowPolicy::Block)`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum OverflowPolicy {
     /// Back-pressure: the producer blocks until the worker drains a slot.
-    /// Dispatch order is unchanged, so the snapshot ≡ replay laws hold
-    /// verbatim; the cost is producer latency, surfaced as
-    /// [`EpochReport::blocked`]. The default.
     #[default]
     Block,
-    /// Load-shedding: the full dispatch cell is dropped on the floor and
-    /// counted ([`EpochReport::dropped_updates`] /
-    /// [`EpochReport::dropped_mass`]). Accounting stays exact over what was
-    /// actually ingested — α and the mass tallies describe the sketched
-    /// stream, never the shed mass. Snapshot commands are never dropped.
-    Drop,
-}
-
-impl fmt::Display for OverflowPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            OverflowPolicy::Block => "block",
-            OverflowPolicy::Drop => "drop",
-        })
-    }
-}
-
-impl FromStr for OverflowPolicy {
-    type Err = SpecError;
-
-    fn from_str(s: &str) -> Result<Self, SpecError> {
-        match s.trim() {
-            "block" => Ok(OverflowPolicy::Block),
-            "drop" => Ok(OverflowPolicy::Drop),
-            other => Err(SpecError::BadField(
-                "overflow",
-                format!("`{other}` is not `block` or `drop`"),
-            )),
-        }
-    }
 }
 
 /// A runtime service failure: the typed form of what used to be a panic.
@@ -158,11 +127,11 @@ impl From<PersistError> for ServiceError {
     }
 }
 
-/// Service shape: epoch length, shard workers, dispatch granularity, and
-/// the bounded-queue overload contract.
+/// Service shape: epoch length, shard workers, dispatch granularity, queue
+/// depth, and the durability knobs.
 ///
 /// Parses from (and displays as) a compact string in the spec grammar,
-/// `service:epoch=1e5,threads=4,chunk=4096,depth=64,overflow=block` (the
+/// `service:epoch=1e5,threads=4,chunk=4096,depth=64,wal=off,retain=0` (the
 /// `service:` prefix and any subset of keys are optional).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServiceConfig {
@@ -180,12 +149,10 @@ pub struct ServiceConfig {
     /// Bound on each worker's command queue (in commands, i.e. dispatch
     /// cells — not updates). The service's memory footprint is then
     /// `O(threads × depth × chunk)` updates in flight, never `O(backlog)`:
-    /// saturation engages the [`ServiceConfig::overflow`] policy instead of
-    /// growing a queue without limit.
+    /// a full queue blocks the producer instead of growing without limit.
+    /// Depth changes only *when* the dispatcher runs, never what it sends,
+    /// so it may change across a restart.
     pub depth: usize,
-    /// What a full worker queue does to the producer: `block`
-    /// (back-pressure, the default) or `drop` (shed the cell, counted).
-    pub overflow: OverflowPolicy,
     /// When the write-ahead log reaches disk: `off` (no log, the
     /// default), `batch` (fsync every appended record), or `epoch`
     /// (fsync at segment roll). Active only while a snapshot store is
@@ -201,14 +168,13 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     /// `epoch = 100_000`, `threads = 4`, `chunk = 4096`, `depth = 64`,
-    /// `overflow = block`, `wal = off`, `retain = 0`.
+    /// `wal = off`, `retain = 0`.
     fn default() -> Self {
         ServiceConfig {
             epoch: 100_000,
             threads: 4,
             chunk: StreamRunner::DEFAULT_CHUNK,
             depth: 64,
-            overflow: OverflowPolicy::Block,
             wal: WalPolicy::Off,
             retain: 0,
         }
@@ -240,9 +206,9 @@ impl ServiceConfig {
         self
     }
 
-    /// Set the overflow policy.
-    pub fn with_overflow(mut self, overflow: OverflowPolicy) -> Self {
-        self.overflow = overflow;
+    /// Back-pressure is the only overload behaviour, so this returns
+    /// `self`: a shim for perfbench's `.with_overflow(OverflowPolicy::Block)`.
+    pub fn with_overflow(self, _overflow: OverflowPolicy) -> Self {
         self
     }
 
@@ -259,15 +225,14 @@ impl ServiceConfig {
     }
 
     /// The dispatch-geometry stamp written into snapshots and WAL
-    /// segment headers: `epoch`/`threads`/`chunk`/`depth`/`overflow` —
-    /// exactly the knobs replay fidelity depends on. The durability
-    /// knobs (`wal=`, `retain=`) are deliberately excluded so they may
-    /// change across restarts; the format equals the full `Display` of
-    /// pre-WAL versions, so older snapshot stamps keep validating.
+    /// segment headers: `epoch`/`threads`/`chunk` — exactly the knobs the
+    /// update → worker assignment and the cut positions depend on. Queue
+    /// depth only delays dispatch, and `wal=`/`retain=` only decide what
+    /// reaches disk, so all three may change across restarts.
     pub fn geometry_string(&self) -> String {
         format!(
-            "service:epoch={},threads={},chunk={},depth={},overflow={}",
-            self.epoch, self.threads, self.chunk, self.depth, self.overflow
+            "service:epoch={},threads={},chunk={}",
+            self.epoch, self.threads, self.chunk
         )
     }
 
@@ -326,7 +291,6 @@ impl FromStr for ServiceConfig {
                 "threads" => cfg.threads = parse_u64("threads", val.trim())? as usize,
                 "chunk" => cfg.chunk = parse_u64("chunk", val.trim())? as usize,
                 "depth" => cfg.depth = parse_u64("depth", val.trim())? as usize,
-                "overflow" => cfg.overflow = val.trim().parse()?,
                 "wal" => cfg.wal = val.trim().parse()?,
                 "retain" => cfg.retain = parse_u64("retain", val.trim())? as usize,
                 other => return Err(SpecError::UnknownKey(other.to_string())),
@@ -341,8 +305,9 @@ impl fmt::Display for ServiceConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{},wal={},retain={}",
+            "{},depth={},wal={},retain={}",
             self.geometry_string(),
+            self.depth,
             self.wal,
             self.retain
         )
@@ -359,8 +324,8 @@ pub struct EpochReport {
     pub epoch: usize,
     /// Updates ingested since the previous cut.
     pub updates: usize,
-    /// Updates ingested since the service started (the prefix length this
-    /// snapshot covers).
+    /// Updates ingested since the service started: the prefix length this
+    /// snapshot covers, and the stream position a restart resumes from.
     pub total_updates: usize,
     /// Inserted mass `Σ Δ_t` over `Δ_t > 0` since the previous cut.
     pub inserted_mass: u64,
@@ -373,25 +338,16 @@ pub struct EpochReport {
     /// The α the spec promised (the bound the observed regime is judged
     /// against).
     pub alpha_configured: f64,
-    /// Updates shed by the `drop` overflow policy since the previous cut
-    /// (whole dispatch cells whose target worker's queue was full). Always
-    /// zero under `block`.
-    pub dropped_updates: usize,
-    /// Mass `Σ|Δ|` of the shed updates since the previous cut. Shed mass is
-    /// *not* part of the ingested tallies — the α accounting describes the
-    /// sketched stream exactly.
-    pub dropped_mass: u64,
-    /// Updates shed since the service started.
+    /// Always 0: back-pressure sheds nothing. A shim for perfbench's
+    /// `r.total_dropped_updates == 0` check; neither persisted nor sent
+    /// over the wire.
     pub total_dropped_updates: usize,
-    /// Shed mass since the service started.
-    pub total_dropped_mass: u64,
     /// High-watermark of commands queued across all workers during this
     /// epoch, sampled after every dispatch. Structurally bounded by
     /// `depth × threads`.
     pub queue_peak: usize,
     /// Producer wall clock spent blocked on full worker queues this epoch
-    /// (back-pressure under `block`; snapshot enqueueing under either
-    /// policy).
+    /// (batches and snapshot commands alike).
     pub blocked: Duration,
     /// Space watermark of the merged snapshot sketch.
     pub space: SpaceReport,
@@ -418,25 +374,11 @@ impl EpochReport {
         self.inserted_mass + self.deleted_mass
     }
 
-    /// Updates *offered* to the service this epoch: ingested + shed. Under
-    /// `block` this equals [`EpochReport::updates`].
-    pub fn offered_updates(&self) -> usize {
-        self.updates + self.dropped_updates
-    }
-
-    /// Updates offered since the service started: ingested + shed.
+    /// [`EpochReport::total_updates`]: everything offered is ingested. A
+    /// shim for perfbench's `r.total_offered_updates() == r.total_updates`
+    /// check.
     pub fn total_offered_updates(&self) -> usize {
-        self.total_updates + self.total_dropped_updates
-    }
-
-    /// Fraction of offered updates shed this epoch (0 for an idle epoch).
-    pub fn drop_fraction(&self) -> f64 {
-        let offered = self.offered_updates();
-        if offered == 0 {
-            0.0
-        } else {
-            self.dropped_updates as f64 / offered as f64
-        }
+        self.total_updates
     }
 
     /// Update mass `Σ|Δ|` of the whole prefix.
@@ -566,28 +508,17 @@ pub struct StreamService {
     /// replay is independent of how callers slice the source into `ingest`
     /// calls.
     buf: Vec<Update>,
-    /// Updates *offered* (dispatched or shed) since the last cut — the
-    /// epoch schedule counts offered updates, so cut geometry is
-    /// independent of the overflow policy.
-    in_epoch: u64,
-    /// Updates offered since the service started: drives the chunk-grid
-    /// position, so the update → worker assignment is a pure function of
-    /// the offered stream.
-    offered: usize,
+    /// Updates dispatched since the last cut.
+    in_epoch: usize,
     epochs_cut: usize,
-    /// Updates actually ingested (dispatched to a worker) since the service
-    /// started — the prefix length a snapshot covers.
+    /// Updates dispatched since the service started: the prefix length a
+    /// snapshot covers, and the chunk-grid position, so the update →
+    /// worker assignment is a pure function of the stream position.
     total_updates: usize,
-    /// Updates ingested since the last cut.
-    ingested_in_epoch: usize,
     inserted: u64,
     deleted: u64,
     total_inserted: u64,
     total_deleted: u64,
-    dropped_updates: usize,
-    dropped_mass: u64,
-    total_dropped_updates: usize,
-    total_dropped_mass: u64,
     queue_peak: usize,
     blocked: Duration,
     epoch_start: Instant,
@@ -604,20 +535,15 @@ pub struct StreamService {
     /// the writer fsyncs), so a failed append fails the
     /// [`StreamService::ingest`] call that dispatched the cell.
     wal: Option<WalWriter>,
-    /// True while [`StreamService::recover`] re-dispatches the WAL tail:
-    /// suppresses re-logging (the records are already durable) and makes
-    /// every replayed batch undroppable (the logged outcome is replayed,
-    /// never re-decided).
-    replaying: bool,
     /// WAL records / frame bytes appended since the last cut (the
     /// [`EpochReport::wal_records`] / [`EpochReport::wal_bytes`] feed).
     wal_records_epoch: usize,
     wal_bytes_epoch: u64,
-    /// Offered position of the newest snapshot known durable — the WAL
+    /// Stream position of the newest snapshot known durable — the WAL
     /// truncation horizon.
-    last_persisted_offered: u64,
-    /// The offered-stream position this service resumed from (0 for a
-    /// fresh start): replay the source from this offset to catch up.
+    last_persisted: u64,
+    /// The stream position this service resumed from (0 for a fresh
+    /// start): replay the source from this offset to catch up.
     recovered_from: usize,
 }
 
@@ -662,8 +588,8 @@ impl StreamService {
         let mut handles = Vec::with_capacity(threads);
         let mut pending_cmds = Vec::with_capacity(threads);
         for mut sk in sketches {
-            // Bounded: a producer faster than the slowest worker meets the
-            // overflow policy instead of growing an unbounded backlog.
+            // Bounded: a producer faster than the slowest worker blocks
+            // instead of growing an unbounded backlog.
             let (tx, rx) = sync_channel::<Cmd>(config.depth);
             let queued = Arc::new(AtomicIsize::new(0));
             senders.push(tx);
@@ -693,28 +619,21 @@ impl StreamService {
             pending_cmds,
             buf: Vec::with_capacity(config.chunk),
             in_epoch: 0,
-            offered: 0,
             epochs_cut: 0,
             total_updates: 0,
-            ingested_in_epoch: 0,
             inserted: 0,
             deleted: 0,
             total_inserted: 0,
             total_deleted: 0,
-            dropped_updates: 0,
-            dropped_mass: 0,
-            total_dropped_updates: 0,
-            total_dropped_mass: 0,
             queue_peak: 0,
             blocked: Duration::ZERO,
             epoch_start: Instant::now(),
             pending: Vec::new(),
             store: None,
             wal: None,
-            replaying: false,
             wal_records_epoch: 0,
             wal_bytes_epoch: 0,
-            last_persisted_offered: 0,
+            last_persisted: 0,
             recovered_from: 0,
         }
     }
@@ -741,7 +660,7 @@ impl StreamService {
     }
 
     /// Open the write-ahead log in `store`'s directory as segment
-    /// `next_seq`, starting at the current offered position and writing
+    /// `next_seq`, starting at the current stream position and writing
     /// through the store's durability layer.
     fn open_wal(
         &mut self,
@@ -755,7 +674,7 @@ impl StreamService {
             &self.config.geometry_string(),
             self.config.wal,
             next_seq,
-            self.offered as u64,
+            self.total_updates as u64,
         )?;
         Ok(self.wal.insert(writer))
     }
@@ -781,13 +700,14 @@ impl StreamService {
     /// caller's exactly (`[PersistError::SpecMismatch]` /
     /// [`PersistError::ConfigMismatch`] otherwise — the spec embeds the
     /// seed, and the dispatch geometry must continue identically for
-    /// replay to be faithful). Worker 0 is seeded with the restored merged
-    /// sketch, workers `1..threads` start fresh, and the stream cursor and
-    /// cumulative accounting resume from the snapshot's stamps; the
-    /// recovered epoch is republished to the hub so
+    /// replay to be faithful; the queue depth may differ). Worker 0 is
+    /// seeded with the restored merged sketch, workers `1..threads` start
+    /// fresh, and the stream cursor and cumulative accounting resume from
+    /// the snapshot's stamps; the recovered epoch is republished to the
+    /// hub so
     /// [`StreamService::latest`] serves it immediately. The caller then
     /// replays the source from [`StreamService::replay_from`]: because the
-    /// update → worker assignment is a pure function of the offered
+    /// update → worker assignment is a pure function of the stream
     /// position, every tail update lands on the worker it would have
     /// reached in the uninterrupted run, so the continuation's snapshots
     /// obey the same law as sharding itself — bit-identical to the
@@ -799,7 +719,8 @@ impl StreamService {
     /// snapshot or WAL segment of another format version is an error
     /// ([`PersistError::UnsupportedVersion`]), not skipped: starting fresh
     /// would overwrite that build's epochs. So is an I/O error reading a
-    /// segment; either way every file is left in place.
+    /// snapshot or a segment, and a segment stamped with another geometry
+    /// ([`PersistError::ConfigMismatch`]); every file is left in place.
     pub fn recover(
         registry: &Registry,
         spec: &SketchSpec,
@@ -825,14 +746,11 @@ impl StreamService {
             // Resume the stream cursor and the cumulative accounting exactly
             // where the snapshot froze them; per-epoch tallies start at zero
             // (the cut was an epoch boundary).
-            svc.offered = offered;
+            svc.total_updates = offered;
             svc.epochs_cut = rec.report.epoch;
-            svc.total_updates = rec.report.total_updates;
             svc.total_inserted = rec.report.total_inserted;
             svc.total_deleted = rec.report.total_deleted;
-            svc.total_dropped_updates = rec.report.total_dropped_updates;
-            svc.total_dropped_mass = rec.report.total_dropped_mass;
-            svc.last_persisted_offered = rec.offered;
+            svc.last_persisted = rec.offered;
             svc.hub.publish(Arc::new(Snapshot {
                 spec: *spec,
                 sketch: rec.sketch,
@@ -846,11 +764,11 @@ impl StreamService {
         // replayed epoch boundary re-cuts (and re-persists) the epoch the
         // crash lost.
         let (sealed, max_seq) = svc.replay_wal_tail(&store)?;
-        svc.recovered_from = svc.offered;
+        svc.recovered_from = svc.total_updates;
         if svc.config.wal != WalPolicy::Off {
             // Past the highest sequence number seen, so the number of a
             // deleted torn final segment is never reused.
-            let persisted = svc.last_persisted_offered;
+            let persisted = svc.last_persisted;
             let wal = svc.open_wal(&store, max_seq.map_or(0, |s| s + 1))?;
             // Old segments stay authoritative until a durable snapshot
             // covers them; prime them so the next truncation pass (or the
@@ -862,26 +780,15 @@ impl StreamService {
         Ok(svc)
     }
 
-    /// Replay every intact WAL record beyond the current offered cursor,
-    /// re-dispatching through the same chunk grid (replayed cells are
-    /// never re-logged and never re-shed). Torn tails are repaired in
-    /// place — physically truncated to the valid prefix — and end the
-    /// replayable chain; so does any gap in the offered sequence.
-    /// Returns the scanned segments (sealed, for later truncation) and
-    /// the highest sequence number seen.
+    /// Replay every intact WAL record beyond the current stream cursor,
+    /// re-dispatching through the same chunk grid (the log is not open
+    /// yet, so nothing is re-logged). Torn tails are repaired in place —
+    /// physically truncated to the valid prefix, through the store's
+    /// durability layer — and end the replayable chain; so does any gap in
+    /// the offered sequence, and so does a shed cell, which this build
+    /// never writes. Returns the scanned segments (sealed, for later
+    /// truncation) and the highest sequence number seen.
     fn replay_wal_tail(
-        &mut self,
-        store: &SnapshotStore,
-    ) -> Result<(Vec<SealedSegment>, Option<u64>), ServiceError> {
-        self.replaying = true;
-        let replayed = self.replay_segments(store);
-        self.replaying = false;
-        replayed
-    }
-
-    /// The scan behind [`StreamService::replay_wal_tail`], run with
-    /// `replaying` set; repairs go through the store's durability layer.
-    fn replay_segments(
         &mut self,
         store: &SnapshotStore,
     ) -> Result<(Vec<SealedSegment>, Option<u64>), ServiceError> {
@@ -923,34 +830,25 @@ impl StreamService {
             for rec in scan.records {
                 let end = rec.end_offered();
                 seg_end = seg_end.max(end);
-                if !intact || end <= self.offered as u64 {
+                if !intact || end <= self.total_updates as u64 {
                     continue;
                 }
-                if rec.offered != self.offered as u64 {
-                    // A gap: records beyond it belong to a cursor we never
-                    // reached, so they cannot be replayed faithfully.
-                    intact = false;
-                    continue;
-                }
-                match rec.cell {
-                    WalCell::Batch(updates) => {
-                        debug_assert!(self.buf.is_empty());
-                        // Freshly decoded, so the `Arc` is unique and this
-                        // unwraps without copying.
-                        self.buf =
-                            Arc::try_unwrap(updates).unwrap_or_else(|arc| arc.as_ref().clone());
-                        self.flush()?;
+                let updates = match rec.cell {
+                    WalCell::Batch(updates) if rec.offered == self.total_updates as u64 => updates,
+                    // A gap (records beyond it belong to a cursor we never
+                    // reached) or a shed cell, which this build never
+                    // writes: neither can be replayed faithfully.
+                    _ => {
+                        intact = false;
+                        continue;
                     }
-                    WalCell::Shed { count, mass } => {
-                        // The shed outcome is replayed, not re-decided:
-                        // only the cursor and the dropped accounting move.
-                        self.offered += count as usize;
-                        self.in_epoch += count as u64;
-                        self.dropped_updates += count as usize;
-                        self.dropped_mass += mass;
-                    }
-                }
-                if self.in_epoch >= self.config.epoch {
+                };
+                debug_assert!(self.buf.is_empty());
+                // Freshly decoded, so the `Arc` is unique and this unwraps
+                // without copying.
+                self.buf = Arc::try_unwrap(updates).unwrap_or_else(|arc| arc.as_ref().clone());
+                self.flush()?;
+                if self.in_epoch as u64 >= self.config.epoch {
                     self.cut()?;
                 }
             }
@@ -995,9 +893,9 @@ impl StreamService {
         Ok(())
     }
 
-    /// The offered-stream position this service resumed from — replay the
-    /// source from this offset after [`StreamService::recover`]. Always 0
-    /// for a service that started fresh.
+    /// The stream position this service resumed from — replay the source
+    /// from this offset after [`StreamService::recover`]. Always 0 for a
+    /// service that started fresh.
     pub fn replay_from(&self) -> usize {
         self.recovered_from
     }
@@ -1008,16 +906,8 @@ impl StreamService {
     }
 
     /// Updates ingested since the service started (dispatched + buffered).
-    /// Under the `drop` overflow policy, shed updates are *not* counted
-    /// here — see [`StreamService::total_dropped_updates`].
     pub fn total_updates(&self) -> usize {
         self.total_updates + self.buf.len()
-    }
-
-    /// Updates shed by the `drop` overflow policy since the service started
-    /// (always 0 under `block`).
-    pub fn total_dropped_updates(&self) -> usize {
-        self.total_dropped_updates + self.dropped_updates
     }
 
     /// Epochs cut so far (scheduled or [`StreamService::finish`]-final;
@@ -1062,21 +952,16 @@ impl StreamService {
         self.queue_peak = self.queue_peak.max(queued as usize);
     }
 
-    /// Deliver one command to worker `w` under the overflow contract:
-    /// try-send first; on a full queue either shed (`drop` policy, and only
-    /// when `droppable` — snapshot commands never are) or fall back to a
-    /// timed blocking send (`block`). Returns `Ok(false)` iff the command
-    /// was shed. A disconnected queue means the worker thread is gone.
-    fn send_cmd(&mut self, w: usize, cmd: Cmd, droppable: bool) -> Result<bool, ServiceError> {
+    /// Deliver one command to worker `w`: try-send first, and on a full
+    /// queue fall back to a timed blocking send (back-pressure). A
+    /// disconnected queue means the worker thread is gone.
+    fn send_cmd(&mut self, w: usize, cmd: Cmd) -> Result<(), ServiceError> {
         match self.senders[w].try_send(cmd) {
             Ok(()) => {}
             Err(TrySendError::Disconnected(_)) => {
                 return Err(ServiceError::WorkerDied { worker: w })
             }
             Err(TrySendError::Full(cmd)) => {
-                if droppable && self.config.overflow == OverflowPolicy::Drop {
-                    return Ok(false);
-                }
                 let stall = Instant::now();
                 self.senders[w]
                     .send(cmd)
@@ -1086,17 +971,15 @@ impl StreamService {
         }
         self.pending_cmds[w].fetch_add(1, Ordering::Relaxed);
         self.sample_queue_depth();
-        Ok(true)
+        Ok(())
     }
 
     /// Dispatch the buffered batch to its worker and tally the accounting.
     /// The target is a pure function of the stream position — update `t`
-    /// belongs to worker `(t / chunk) mod threads` over the *offered*
-    /// stream — so the update → worker assignment (and therefore every
-    /// snapshot) is independent of how the caller slices the source into
-    /// `ingest` calls. The buffer never spans a cell of that grid. Mass is
-    /// tallied only for updates that actually reach a worker; a shed cell
-    /// lands in the dropped counters instead.
+    /// belongs to worker `(t / chunk) mod threads` — so the update → worker
+    /// assignment (and therefore every snapshot) is independent of how the
+    /// caller slices the source into `ingest` calls. The buffer never spans
+    /// a cell of that grid.
     fn flush(&mut self) -> Result<(), ServiceError> {
         if self.buf.is_empty() {
             return Ok(());
@@ -1113,40 +996,23 @@ impl StreamService {
                 del += u.delta.unsigned_abs();
             }
         }
-        let w = (self.offered / self.config.chunk) % self.senders.len();
-        let len = batch.len();
-        let cell_offered = self.offered as u64;
-        self.offered += len;
-        self.in_epoch += len as u64;
+        let w = (self.total_updates / self.config.chunk) % self.senders.len();
+        let offered = self.total_updates as u64;
         // The worker and the log share one `Arc` of the cell — logging
-        // copies nothing; during recovery replay the log is the *source*,
-        // so nothing is re-logged and the logged outcome is never
-        // re-decided (replayed batches are undroppable).
-        let ingested = self.send_cmd(w, Cmd::Batch(Arc::clone(&batch)), !self.replaying)?;
-        if ingested {
-            self.inserted += ins;
-            self.deleted += del;
-            self.total_updates += len;
-            self.ingested_in_epoch += len;
-        } else {
-            self.dropped_updates += len;
-            self.dropped_mass += ins + del;
-        }
+        // copies nothing; during recovery replay the log is the *source*
+        // and not yet open, so nothing is re-logged.
+        self.send_cmd(w, Cmd::Batch(Arc::clone(&batch)))?;
+        self.inserted += ins;
+        self.deleted += del;
+        self.total_updates += batch.len();
+        self.in_epoch += batch.len();
         if let Some(wal) = &mut self.wal {
             // Logged *after* dispatch: a crash between dispatch and append
             // (before the append's write) loses at most this one cell,
             // and recovery treats it as never offered.
-            let cell = if ingested {
-                WalCell::Batch(batch)
-            } else {
-                WalCell::Shed {
-                    count: len as u32,
-                    mass: ins + del,
-                }
-            };
             let bytes = wal.append(&WalRecord {
-                offered: cell_offered,
-                cell,
+                offered,
+                cell: WalCell::Batch(batch),
             })?;
             self.wal_records_epoch += 1;
             self.wal_bytes_epoch += bytes;
@@ -1160,17 +1026,14 @@ impl StreamService {
     fn epoch_report(&self, epoch: usize) -> EpochReport {
         EpochReport {
             epoch,
-            updates: self.ingested_in_epoch,
+            updates: self.in_epoch,
             total_updates: self.total_updates,
             inserted_mass: self.inserted,
             deleted_mass: self.deleted,
             total_inserted: self.total_inserted + self.inserted,
             total_deleted: self.total_deleted + self.deleted,
             alpha_configured: self.alpha_configured,
-            dropped_updates: self.dropped_updates,
-            dropped_mass: self.dropped_mass,
-            total_dropped_updates: self.total_dropped_updates + self.dropped_updates,
-            total_dropped_mass: self.total_dropped_mass + self.dropped_mass,
+            total_dropped_updates: 0,
             queue_peak: self.queue_peak,
             blocked: self.blocked,
             space: SpaceReport::default(),
@@ -1189,14 +1052,9 @@ impl StreamService {
         let report = self.epoch_report(epoch);
         self.total_inserted = report.total_inserted;
         self.total_deleted = report.total_deleted;
-        self.total_dropped_updates = report.total_dropped_updates;
-        self.total_dropped_mass = report.total_dropped_mass;
         self.inserted = 0;
         self.deleted = 0;
         self.in_epoch = 0;
-        self.ingested_in_epoch = 0;
-        self.dropped_updates = 0;
-        self.dropped_mass = 0;
         self.queue_peak = 0;
         self.blocked = Duration::ZERO;
         self.wal_records_epoch = 0;
@@ -1215,10 +1073,9 @@ impl StreamService {
         let mut replies = Vec::with_capacity(self.senders.len());
         for w in 0..self.senders.len() {
             let (reply_tx, reply_rx) = channel();
-            // Snapshot commands are never shed — a full queue blocks here
-            // under either policy (the cut must observe exactly the batches
-            // dispatched before it).
-            self.send_cmd(w, Cmd::Snapshot(reply_tx), false)?;
+            // Behind every batch dispatched before it, so the cut observes
+            // exactly those batches.
+            self.send_cmd(w, Cmd::Snapshot(reply_tx))?;
             replies.push(reply_rx);
         }
         self.pending.push(PendingCut { replies, report });
@@ -1226,7 +1083,7 @@ impl StreamService {
         // this epoch's records and becomes deletable once the cut's
         // snapshot is durably saved (`drain_pending`).
         if let Some(wal) = &mut self.wal {
-            wal.roll(self.offered as u64)?;
+            wal.roll(self.total_updates as u64)?;
         }
         Ok(())
     }
@@ -1263,10 +1120,10 @@ impl StreamService {
             let snap = self.resolve(cut)?;
             if let Some(store) = &self.store {
                 // The offered stamp is the replay cursor: where the stream
-                // cursor stood at the cut, shed cells included. The config
-                // stamp is the geometry alone, so durability knobs may
-                // change across restarts.
-                let offered = snap.report.total_offered_updates() as u64;
+                // cursor stood at the cut. The config stamp is the geometry
+                // alone, so depth and the durability knobs may change
+                // across restarts.
+                let offered = snap.report.total_updates as u64;
                 store.save(
                     &self.spec,
                     &self.config.geometry_string(),
@@ -1274,7 +1131,7 @@ impl StreamService {
                     offered,
                     snap.sketch.as_ref(),
                 )?;
-                self.last_persisted_offered = offered;
+                self.last_persisted = offered;
                 // Only now — with the covering snapshot durable — are the
                 // sealed segments up to the cut dead weight.
                 if let Some(wal) = &mut self.wal {
@@ -1305,8 +1162,8 @@ impl StreamService {
             // immediately below.
             let held = self.buf.len() as u64;
             let chunk = self.config.chunk as u64;
-            let epoch_room = self.config.epoch - self.in_epoch - held;
-            let cell_room = chunk - (self.offered as u64 + held) % chunk;
+            let epoch_room = self.config.epoch - self.in_epoch as u64 - held;
+            let cell_room = chunk - (self.total_updates as u64 + held) % chunk;
             let take = epoch_room.min(cell_room).min(rest.len() as u64);
             let (piece, tail) = rest.split_at(take as usize);
             self.buf.extend_from_slice(piece);
@@ -1395,7 +1252,7 @@ impl StreamService {
         let mut replies = Vec::with_capacity(self.senders.len());
         for w in 0..self.senders.len() {
             let (reply_tx, reply_rx) = channel();
-            self.send_cmd(w, Cmd::Snapshot(reply_tx), false)?;
+            self.send_cmd(w, Cmd::Snapshot(reply_tx))?;
             replies.push(reply_rx);
         }
         self.resolve(PendingCut { replies, report })
@@ -1485,30 +1342,33 @@ mod tests {
         assert_eq!(cfg.threads, 4);
         assert_eq!(cfg.chunk, StreamRunner::DEFAULT_CHUNK);
         assert_eq!(cfg.depth, 64);
-        assert_eq!(cfg.overflow, OverflowPolicy::Block);
         assert_eq!(cfg.wal, WalPolicy::Off);
         assert_eq!(cfg.retain, 0);
         let redisplayed: ServiceConfig = cfg.to_string().parse().unwrap();
         assert_eq!(redisplayed, cfg);
-        // The overload knobs parse and round-trip.
-        let shed: ServiceConfig = "service:depth=8,overflow=drop".parse().unwrap();
-        assert_eq!(shed.depth, 8);
-        assert_eq!(shed.overflow, OverflowPolicy::Drop);
-        assert_eq!(shed.to_string().parse::<ServiceConfig>(), Ok(shed));
-        // The durability knobs parse and round-trip; the geometry stamp
-        // excludes them (it is the pre-WAL Display, so old snapshot
-        // stamps keep validating).
+        // Back-pressure is the one overload behaviour: no overflow key.
+        for gone in ["service:overflow=drop", "service:overflow=block"] {
+            assert_eq!(
+                gone.parse::<ServiceConfig>(),
+                Err(SpecError::UnknownKey("overflow".into()))
+            );
+        }
+        let deep: ServiceConfig = "service:depth=8".parse().unwrap();
+        assert_eq!(deep.depth, 8);
+        assert_eq!(deep.to_string().parse::<ServiceConfig>(), Ok(deep));
+        // Depth and the durability knobs parse and round-trip; the
+        // geometry stamp excludes them, so they may change across restarts.
         let durable: ServiceConfig = "service:epoch=1e4,wal=batch,retain=3".parse().unwrap();
         assert_eq!(durable.wal, WalPolicy::Batch);
         assert_eq!(durable.retain, 3);
         assert_eq!(durable.to_string().parse::<ServiceConfig>(), Ok(durable));
         assert!(durable.to_string().contains("wal=batch"));
         assert!(durable.to_string().contains("retain=3"));
-        assert!(!durable.geometry_string().contains("wal="));
         assert_eq!(
             durable.geometry_string(),
-            "service:epoch=10000,threads=4,chunk=4096,depth=64,overflow=block"
+            "service:epoch=10000,threads=4,chunk=4096"
         );
+        assert_eq!(deep.geometry_string(), cfg.geometry_string());
         assert!("service:wal=sometimes".parse::<ServiceConfig>().is_err());
         // Bare key=value form and defaults.
         let bare: ServiceConfig = "epoch=2^10".parse().unwrap();
@@ -1519,9 +1379,6 @@ mod tests {
         );
         assert!("service:epoch=0".parse::<ServiceConfig>().is_err());
         assert!("service:depth=0".parse::<ServiceConfig>().is_err());
-        assert!("service:overflow=sometimes"
-            .parse::<ServiceConfig>()
-            .is_err());
         assert!("service:frob=1".parse::<ServiceConfig>().is_err());
         assert!("shard:epoch=1".parse::<ServiceConfig>().is_err());
     }
@@ -1546,9 +1403,7 @@ mod tests {
             assert_eq!(snap.report.epoch, i + 1);
             assert_eq!(snap.report.updates, 300);
             assert_eq!(snap.report.total_updates, 300 * (i + 1));
-            // Block policy: nothing shed, queues bounded by depth × threads.
-            assert_eq!(snap.report.dropped_updates, 0);
-            assert_eq!(snap.report.offered_updates(), snap.report.updates);
+            // Queues bounded by depth × threads.
             assert!(snap.report.queue_peak <= cfg.depth * cfg.threads);
         }
         assert_eq!(last.report.epoch, 4);

@@ -27,12 +27,11 @@
 //!   sequence number, and the offered-stream position the segment starts
 //!   at.
 //! * **Records** — one length-prefixed, CRC-32C-framed record per dispatched
-//!   grid cell: the offered position the cell starts at, then either the
-//!   cell's updates verbatim ([`WalCell::Batch`]) or — under the `drop`
-//!   overflow policy — the shed cell's count and mass
-//!   ([`WalCell::Shed`]), logged so the replay cursor stays continuous
-//!   (the update → worker assignment is a pure function of the *offered*
-//!   position, shed cells included).
+//!   grid cell: the offered position the cell starts at, then the cell's
+//!   updates verbatim ([`WalCell::Batch`]). The format also has a record
+//!   for a shed cell's count and mass ([`WalCell::Shed`]); the codec still
+//!   reads and writes it, but the service never writes one, and replay
+//!   treats one as the end of the replayable chain.
 //!
 //! A record's checksum covers its body only, not its length prefix, so
 //! records are framed by hand rather than by the envelope: the layout is
@@ -95,10 +94,11 @@ pub const WAL_MAGIC: [u8; 4] = *b"BDWL";
 /// contract for any layout change.
 pub const WAL_VERSION: u16 = 1;
 
-/// Hard cap on one record frame's body — a dispatched grid cell is
-/// `chunk` updates (17 bytes each encoded), so even absurd chunk sizes
-/// fit well under this; a corrupt length header is rejected before it can
-/// demand an absurd allocation.
+/// Hard cap on one record frame's body. A cell of `chunk` updates encodes
+/// to a `13 + 16·chunk`-byte body, so cells of up to `2^20 − 1` updates
+/// fit; [`WalWriter::append`] refuses a larger record rather than write
+/// one the reader would reject, and the reader rejects a corrupt length
+/// header before it can demand an absurd allocation.
 pub const MAX_WAL_RECORD: usize = 1 << 24;
 
 /// When the log reaches disk — the `wal=` value in the service config
@@ -151,10 +151,10 @@ pub enum WalCell {
     /// through the same chunk grid. Shared (`Arc`) with the worker the
     /// cell was dispatched to, so logging never copies the updates.
     Batch(Arc<Vec<Update>>),
-    /// A cell shed by the `drop` overflow policy: only its count and mass
-    /// are logged (the updates never reached a worker), enough to keep
-    /// the offered cursor and the dropped accounting continuous across a
-    /// restart.
+    /// A shed cell's count and mass: record kind 2 of `WAL_VERSION` 1,
+    /// which the codec still reads and writes. The service never writes
+    /// one, and replay treats one as the end of the replayable chain. A
+    /// shim for perfbench's `WalCell::Shed { .. }` match arms.
     Shed {
         /// Updates in the shed cell.
         count: u32,
@@ -590,9 +590,15 @@ impl WalWriter {
     /// Append one record. Under [`WalPolicy::Batch`] the record is
     /// durable when this returns; under [`WalPolicy::Epoch`] it is
     /// written but synced only at the next [`WalWriter::roll`]. Returns
-    /// the frame bytes appended.
+    /// the frame bytes appended. A record whose body exceeds
+    /// [`MAX_WAL_RECORD`] is [`PersistError::Oversized`], and nothing is
+    /// written: [`read_segment`] would reject its frame.
     pub fn append(&mut self, rec: &WalRecord) -> Result<u64, PersistError> {
         encode_record_into(&mut self.scratch, rec);
+        let body = self.scratch.len() - 8; // less the length and the CRC
+        if body > MAX_WAL_RECORD {
+            return Err(PersistError::Oversized(body as u64));
+        }
         self.disk.write(&mut self.file, &self.scratch)?;
         if self.policy == WalPolicy::Batch {
             self.disk.fdatasync(&self.file)?;
@@ -792,6 +798,32 @@ mod tests {
         bad_magic[0] = b'X';
         fs::write(&path, &bad_magic).unwrap();
         assert_eq!(read_segment(&path).unwrap_err(), PersistError::BadMagic);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The writer refuses a record its own reader would reject: a cell of
+    /// 2^20 updates has a body over [`MAX_WAL_RECORD`], so `append` fails
+    /// before writing and the segment still scans clean; a cell of one
+    /// update fewer appends and reads back.
+    #[test]
+    fn append_refuses_records_the_reader_would_reject() {
+        let dir = tmp("oversized");
+        let mut w = WalWriter::open(&dir, "s", "c", WalPolicy::Epoch, 0, 0).unwrap();
+        let path = dir.join(segment_file_name(0));
+        let header_len = fs::metadata(&path).unwrap().len();
+        assert_eq!(
+            w.append(&batch(0, 1 << 20)),
+            Err(PersistError::Oversized(13 + (16 << 20)))
+        );
+        assert_eq!(fs::metadata(&path).unwrap().len(), header_len);
+        let scan = read_segment(&path).unwrap();
+        assert!(scan.records.is_empty() && scan.truncation.is_none());
+
+        let fits = batch(0, (1 << 20) - 1);
+        w.append(&fits).unwrap();
+        let scan = read_segment(&path).unwrap();
+        assert!(scan.truncation.is_none());
+        assert_eq!(scan.records, vec![fits]);
         let _ = fs::remove_dir_all(&dir);
     }
 

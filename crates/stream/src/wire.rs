@@ -130,11 +130,6 @@ pub struct WireReport {
     pub space_bits: u64,
     /// Worker count the snapshot was merged from.
     pub threads: u32,
-    /// Updates shed by the `drop` overflow policy since the service started
-    /// (0 under `block`).
-    pub total_dropped_updates: u64,
-    /// Mass `Σ|Δ|` of the shed updates since the service started.
-    pub total_dropped_mass: u64,
     /// High-watermark of commands queued across all workers during the
     /// serving epoch (≤ depth × threads).
     pub queue_peak: u64,
@@ -159,7 +154,8 @@ pub enum ErrorCode {
     /// Dense heavy-hitters scan refused: universe too large, no support
     /// view.
     UniverseTooLarge = 3,
-    /// The request itself was invalid (e.g. an over-long batch).
+    /// The request itself was invalid (e.g. an over-long batch), or its
+    /// answer would not fit in one frame.
     BadRequest = 4,
 }
 
@@ -331,8 +327,6 @@ impl Response {
                 buf.extend_from_slice(&rep.alpha_observed.to_bits().to_le_bytes());
                 buf.extend_from_slice(&rep.space_bits.to_le_bytes());
                 buf.extend_from_slice(&rep.threads.to_le_bytes());
-                buf.extend_from_slice(&rep.total_dropped_updates.to_le_bytes());
-                buf.extend_from_slice(&rep.total_dropped_mass.to_le_bytes());
                 buf.extend_from_slice(&rep.queue_peak.to_le_bytes());
                 buf.extend_from_slice(&rep.blocked_us.to_le_bytes());
                 buf.extend_from_slice(&rep.wal_records.to_le_bytes());
@@ -389,8 +383,6 @@ impl Response {
                 alpha_observed: r.f64()?,
                 space_bits: r.u64()?,
                 threads: r.u32()?,
-                total_dropped_updates: r.u64()?,
-                total_dropped_mass: r.u64()?,
                 queue_peak: r.u64()?,
                 blocked_us: r.u64()?,
                 wal_records: r.u64()?,
@@ -561,8 +553,6 @@ mod tests {
             alpha_observed: f64::INFINITY,
             space_bits: 1 << 20,
             threads: 4,
-            total_dropped_updates: 512,
-            total_dropped_mass: 1024,
             queue_peak: 256,
             blocked_us: 17,
             wal_records: 73,

@@ -29,8 +29,8 @@ trap 'rm -rf "$SERVE_LOG" "$STORE"; kill "$SERVE_PID" 2>/dev/null || true' EXIT
 serve_and_drive() {
     target/release/sketchctl serve \
         --spec 'csss:n=2^14,eps=0.05,alpha=4,seed=42' \
-        --epoch 20000 --threads 3 \
-        --persist "$STORE" --wal epoch --retain 2 "$@" \
+        --service service:epoch=20000,threads=3,wal=epoch,retain=2 \
+        --persist "$STORE" "$@" \
         --listen 127.0.0.1:0 >"$SERVE_LOG" 2>&1 &
     SERVE_PID=$!
 
@@ -77,7 +77,7 @@ serve_and_drive() {
 serve_and_drive
 FIRST_VERIFIED="$VERIFIED"
 
-# The clean shutdown leaves the newest two snapshots (`--retain 2`) and the
+# The clean shutdown leaves the newest two snapshots (`retain=2`) and the
 # live log segment in the store.
 SNAPSHOTS="$(find "$STORE" -maxdepth 1 -name 'epoch-*.bdsnap' | wc -l)"
 SEGMENTS="$(find "$STORE" -maxdepth 1 -name 'wal-*.bdwal' | wc -l)"

@@ -146,9 +146,9 @@ pub mod prelude {
     };
     pub use bd_stream::{DynSketch, Regime, Registry, SketchFamily, SketchSpec, SupportQuery};
     pub use bd_stream::{
-        EpochReport, FrequencyVector, Item, Mergeable, NormEstimate, OverflowPolicy, PointQuery,
-        PointQueryBatch, RunReport, SampleQuery, ServiceConfig, ServiceError, Sketch, Snapshot,
-        SpaceReport, SpaceUsage, StreamBatch, StreamRunner, StreamService, Update,
+        EpochReport, FrequencyVector, Item, Mergeable, NormEstimate, PointQuery, PointQueryBatch,
+        RunReport, SampleQuery, ServiceConfig, ServiceError, Sketch, Snapshot, SpaceReport,
+        SpaceUsage, StreamBatch, StreamRunner, StreamService, Update,
     };
     pub use bd_stream::{
         ErrorCode, QueryClient, QueryEngine, QueryError, QueryServer, QueryView, Request, Response,

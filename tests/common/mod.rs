@@ -135,3 +135,20 @@ pub fn assert_probes_match(name: &str, want: &[ProbeVal], got: &[ProbeVal], bitw
         }
     }
 }
+
+/// Every entry of `dir` by name, with a file's bytes or `None` for a
+/// directory: the before/after picture a refused recovery must leave
+/// unchanged.
+pub fn listing(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Option<Vec<u8>>)> {
+    let mut out: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let bytes =
+                (!e.file_type().unwrap().is_dir()).then(|| std::fs::read(e.path()).unwrap());
+            (e.file_name(), bytes)
+        })
+        .collect();
+    out.sort();
+    out
+}

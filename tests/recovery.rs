@@ -14,10 +14,9 @@
 //! loop iterates `registry().families()` with no hand-maintained list, and
 //! CI re-runs it under the `BD_SHARD_THREADS` matrix.
 //!
-//! The laws hold under the `block` overflow policy (deterministic
-//! dispatch). Under `drop`, shed cells are timing-dependent, so recovery
-//! preserves exact *accounting* but not bit-identical state — documented
-//! in `DESIGN.md §13` and deliberately not pinned here.
+//! Dispatch is deterministic: a full worker queue blocks the producer and
+//! never sheds a cell, so the queue depth changes only *when* cells are
+//! dispatched, and a restart may change it.
 
 mod common;
 
@@ -26,7 +25,7 @@ use bd_stream::{
     StreamService, PERSIST_VERSION,
 };
 use bounded_deletions::prelude::*;
-use common::{assert_probes_match, conformance_spec, probe, stream};
+use common::{assert_probes_match, conformance_spec, listing, probe, stream};
 use std::time::{Duration, Instant};
 
 /// The worker counts under test: a fixed sweep plus an optional
@@ -259,6 +258,91 @@ fn recovery_refuses_a_foreign_format_version() {
         StreamService::recover(registry(), &spec, cfg, store),
         Err(ServiceError::Persist(PersistError::UnsupportedVersion(v))) if v == PERSIST_VERSION - 1
     ));
+}
+
+/// A snapshot this process cannot read stops recovery with `Io` instead
+/// of being skipped like a torn file: resuming at the older epoch would
+/// start behind the log's truncation horizon, and later cuts would
+/// overwrite the unreadable epoch's name. No file is touched.
+#[test]
+fn recovery_refuses_an_unreadable_snapshot() {
+    let s = stream(0x5D);
+    let spec = conformance_spec(SketchFamily::Exact);
+    let cfg = ServiceConfig::default()
+        .with_epoch(1000)
+        .with_threads(1)
+        .with_chunk(500);
+    let dir = TempDir::new("unreadable");
+    let mut svc = StreamService::start(registry(), &spec, cfg).unwrap();
+    svc.persist_to(dir.store()).unwrap();
+    svc.ingest(&s.updates[..3000]).unwrap();
+    drop(svc);
+
+    let store = dir.store();
+    assert_eq!(store.epochs().unwrap(), vec![1, 2, 3]);
+    let newest = store.path_for(3);
+    std::fs::remove_file(&newest).unwrap();
+    std::fs::create_dir(&newest).unwrap();
+    let before = listing(&dir.0);
+
+    let got = StreamService::recover(registry(), &spec, cfg, store);
+    assert!(
+        matches!(got, Err(ServiceError::Persist(PersistError::Io(_)))),
+        "{got:?}"
+    );
+    assert_eq!(listing(&dir.0), before, "recovery changed the store");
+}
+
+/// The queue depth is not part of the durable stamps: a persisted run
+/// (snapshots and a `batch` log) crashed at depth 64 recovers at depth 2
+/// and ends in the uninterrupted depth-64 run's state — bit-identical for
+/// `exact`, estimate-equal for `alpha_hh`.
+#[test]
+fn recovery_may_change_the_queue_depth() {
+    let s = stream(0x64);
+    let stop = s.len() * 5 / 9;
+    for (family, bitwise) in [(SketchFamily::Exact, true), (SketchFamily::AlphaHh, false)] {
+        let spec = conformance_spec(family);
+        let cfg = service_config(s.len(), 3)
+            .with_depth(64)
+            .with_wal(WalPolicy::Batch);
+
+        let mut un = StreamService::start(registry(), &spec, cfg).unwrap();
+        let mut want = un.ingest(&s.updates).unwrap();
+        want.extend(un.finish().unwrap());
+
+        let dir = TempDir::new(&format!("depth-{}", family.name()));
+        let mut first = StreamService::start(registry(), &spec, cfg).unwrap();
+        first.persist_to(dir.store()).unwrap();
+        first.ingest(&s.updates[..stop]).unwrap();
+        drop(first);
+
+        let shallow = cfg.with_depth(2);
+        let mut rec = StreamService::recover(registry(), &spec, shallow, dir.store())
+            .unwrap_or_else(|e| panic!("{family}: recovery at depth 2 failed: {e}"));
+        let from = rec.replay_from();
+        assert!(
+            from > cfg.epoch as usize,
+            "{family}: the log tail was not replayed"
+        );
+        let mut got = rec.ingest(&s.updates[from..]).unwrap();
+        got.extend(rec.finish().unwrap());
+        assert!(got.len() >= 2, "{family}: expected ≥2 post-recovery epochs");
+        for g in &got {
+            let w = want
+                .iter()
+                .find(|w| w.report.epoch == g.report.epoch)
+                .unwrap_or_else(|| panic!("{family}: unmatched epoch {}", g.report.epoch));
+            assert_eq!(g.report.total_updates, w.report.total_updates, "{family}");
+            assert_probes_match(
+                &format!("{family} at depth 2 (epoch {})", g.report.epoch),
+                &probe(w.sketch.as_ref()),
+                &probe(g.sketch.as_ref()),
+                bitwise,
+            );
+        }
+        assert_eq!(got.last().unwrap().report.total_updates, s.len());
+    }
 }
 
 /// An empty store is a fresh start, not an error — and the service then

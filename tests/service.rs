@@ -372,11 +372,6 @@ fn block_policy_matches_unbounded_for_every_mergeable_family() {
         );
         for (b, u) in bounded.iter().zip(&unbounded) {
             assert_eq!(b.report.total_updates, u.report.total_updates);
-            assert_eq!(
-                b.report.total_dropped_updates, 0,
-                "{}: block never sheds",
-                info.family
-            );
             assert!(
                 b.report.queue_peak <= tight.depth * tight.threads,
                 "{}: queue peak {} exceeds depth × threads = {}",
@@ -395,9 +390,9 @@ fn block_policy_matches_unbounded_for_every_mergeable_family() {
     assert!(covered >= 20, "mergeable catalog shrank unexpectedly");
 }
 
-/// The acceptance-criteria shape: a burst workload through
-/// `depth=64,overflow=block` holds the queue-depth watermark within the
-/// structural bound `depth × threads` and loses nothing.
+/// The acceptance-criteria shape: a burst workload through `depth=64`
+/// holds the queue-depth watermark within the structural bound
+/// `depth × threads` and loses nothing.
 #[test]
 fn burst_overload_respects_the_depth_bound() {
     let s = BurstGen::new(1 << 12, 4, 4000, 1000).generate_seeded(0xBE);
@@ -406,13 +401,11 @@ fn burst_overload_respects_the_depth_bound() {
         .with_epoch((s.len() as u64) / 4)
         .with_threads(3)
         .with_chunk(128)
-        .with_depth(64)
-        .with_overflow(OverflowPolicy::Block);
+        .with_depth(64);
     let snaps = serve(&spec, &s, cfg);
     assert!(snaps.len() >= 4);
     let last = snaps.last().unwrap().report;
     assert_eq!(last.total_updates, s.len());
-    assert_eq!(last.total_dropped_updates, 0);
     for snap in &snaps {
         assert!(
             snap.report.queue_peak <= cfg.depth * cfg.threads,
@@ -421,131 +414,6 @@ fn burst_overload_respects_the_depth_bound() {
             cfg.depth * cfg.threads
         );
     }
-}
-
-/// A deliberately slow test double: an exact vector whose batched ingest
-/// sleeps, so a tiny `drop`-policy queue is guaranteed to overflow.
-#[derive(Clone)]
-struct SlowSketch(FrequencyVector);
-
-impl SpaceUsage for SlowSketch {
-    fn space(&self) -> SpaceReport {
-        self.0.space()
-    }
-}
-
-impl Sketch for SlowSketch {
-    fn update(&mut self, item: Item, delta: i64) {
-        Sketch::update(&mut self.0, item, delta);
-    }
-    fn update_batch(&mut self, batch: &[Update]) {
-        std::thread::sleep(std::time::Duration::from_micros(1500));
-        Sketch::update_batch(&mut self.0, batch);
-    }
-}
-
-impl PointQuery for SlowSketch {
-    fn point(&self, item: Item) -> f64 {
-        self.0.point(item)
-    }
-}
-
-impl Mergeable for SlowSketch {
-    fn merge_from(&mut self, other: &Self) {
-        self.0.merge_from(&other.0);
-    }
-}
-
-bd_stream::impl_dyn_sketch!(SlowSketch, point, merge);
-
-/// A fresh registry serving [`SlowSketch`] under the `exact` family name.
-fn slow_registry() -> Registry {
-    let mut reg = Registry::new();
-    reg.register(
-        FamilyInfo {
-            family: SketchFamily::Exact,
-            summary: "deliberately slow exact vector (overload test double)",
-            caps: Capabilities {
-                point: true,
-                mergeable: true,
-                merge_bitwise: true,
-                batch_bitwise: true,
-                linear: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                n: true,
-                ..Default::default()
-            },
-            space: "O(n)",
-            type_name: std::any::type_name::<SlowSketch>(),
-        },
-        |spec| Box::new(SlowSketch(FrequencyVector::new(spec.n))),
-    );
-    reg
-}
-
-/// Drop-policy accounting is exact: what the service answered for is
-/// exactly what it ingested, and offered = ingested + dropped at every
-/// granularity (per epoch, in the running totals, and in update mass).
-#[test]
-fn drop_policy_accounting_reconciles_exactly() {
-    let s = stream(0xD0);
-    let reg = slow_registry();
-    let spec = SketchSpec::new(SketchFamily::Exact)
-        .with_n(1 << 10)
-        .with_alpha(3.0);
-    let cfg = ServiceConfig::default()
-        .with_epoch(512)
-        .with_threads(2)
-        .with_chunk(64)
-        .with_depth(1)
-        .with_overflow(OverflowPolicy::Drop);
-    let mut svc = StreamService::start(&reg, &spec, cfg).unwrap();
-    let mut snaps = svc.ingest(&s.updates).unwrap();
-    snaps.extend(svc.finish().unwrap());
-
-    let last = snaps.last().unwrap().report;
-    assert!(
-        last.total_dropped_updates > 0,
-        "queue never overflowed — the slow sketch is not slow enough"
-    );
-    // Offered = ingested + dropped, in updates and in mass.
-    assert_eq!(last.total_updates + last.total_dropped_updates, s.len());
-    assert_eq!(last.total_offered_updates(), s.len());
-    assert_eq!(last.total_mass() + last.total_dropped_mass, s.total_mass());
-
-    // The same reconciliation holds per epoch, and every scheduled epoch
-    // is cut at exactly `epoch` offered updates.
-    let (mut sum_ing, mut sum_drop) = (0usize, 0usize);
-    for (i, snap) in snaps.iter().enumerate() {
-        let rep = snap.report;
-        sum_ing += rep.updates;
-        sum_drop += rep.dropped_updates;
-        if i + 1 < snaps.len() {
-            assert_eq!(
-                rep.offered_updates(),
-                512,
-                "epoch geometry must count offered"
-            );
-        }
-    }
-    assert_eq!(sum_ing, last.total_updates);
-    assert_eq!(sum_drop, last.total_dropped_updates);
-
-    // The sketch state agrees with the ingest counters: the exact vector's
-    // net mass is exactly inserted − deleted over delivered updates.
-    let p = snaps
-        .last()
-        .unwrap()
-        .sketch
-        .as_point()
-        .expect("SlowSketch answers point queries");
-    let net: f64 = (0..1 << 10).map(|i| p.point(i)).sum();
-    assert_eq!(
-        net as i64,
-        last.total_inserted as i64 - last.total_deleted as i64
-    );
 }
 
 /// Item that [`PanickySketch`] refuses to ingest, killing its worker.

@@ -34,11 +34,11 @@ mod common;
 
 use bd_stream::fault::{DiskOp, FaultInjector, FaultPlan, Tear};
 use bd_stream::{
-    wal_segments, Capabilities, FamilyInfo, PersistError, Registry, ServiceConfig, ServiceError,
-    SnapshotStore, SpaceInputs, StreamService, WAL_VERSION,
+    wal_segments, FamilyInfo, PersistError, ServiceConfig, ServiceError, SnapshotStore,
+    StreamService, WAL_VERSION,
 };
 use bounded_deletions::prelude::*;
-use common::{assert_probes_match, conformance_spec, probe, stream, ProbeVal};
+use common::{assert_probes_match, conformance_spec, listing, probe, stream, ProbeVal};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -617,152 +617,6 @@ fn retain_prunes_old_snapshots_but_never_the_newest() {
     assert_eq!(rec.replay_from(), s.len());
 }
 
-/// A deliberately slow *persistable* test double, so a tiny
-/// `drop`-policy queue overflows while every shed cell still reaches the
-/// log (as a count + mass marker, keeping the offered cursor exact).
-#[derive(Clone)]
-struct SlowDurableSketch(FrequencyVector);
-
-impl SpaceUsage for SlowDurableSketch {
-    fn space(&self) -> SpaceReport {
-        self.0.space()
-    }
-}
-
-impl Sketch for SlowDurableSketch {
-    fn update(&mut self, item: Item, delta: i64) {
-        Sketch::update(&mut self.0, item, delta);
-    }
-    fn update_batch(&mut self, batch: &[Update]) {
-        std::thread::sleep(std::time::Duration::from_micros(1500));
-        Sketch::update_batch(&mut self.0, batch);
-    }
-}
-
-impl PointQuery for SlowDurableSketch {
-    fn point(&self, item: Item) -> f64 {
-        self.0.point(item)
-    }
-}
-
-impl Mergeable for SlowDurableSketch {
-    fn merge_from(&mut self, other: &Self) {
-        self.0.merge_from(&other.0);
-    }
-}
-
-impl SketchState for SlowDurableSketch {
-    fn save_state(&self, w: &mut StateWriter) {
-        self.0.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), StateError> {
-        self.0.load_state(r)
-    }
-}
-
-bd_stream::impl_dyn_sketch!(SlowDurableSketch, point, merge, persist);
-
-/// A fresh registry serving [`SlowDurableSketch`] under the `exact`
-/// family name.
-fn slow_registry() -> Registry {
-    let mut reg = Registry::new();
-    reg.register(
-        FamilyInfo {
-            family: SketchFamily::Exact,
-            summary: "deliberately slow durable exact vector (overload + WAL double)",
-            caps: Capabilities {
-                point: true,
-                mergeable: true,
-                merge_bitwise: true,
-                batch_bitwise: true,
-                linear: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                n: true,
-                ..Default::default()
-            },
-            space: "O(n)",
-            type_name: std::any::type_name::<SlowDurableSketch>(),
-        },
-        |spec| Box::new(SlowDurableSketch(FrequencyVector::new(spec.n))),
-    );
-    reg
-}
-
-/// Drop-policy accounting survives a restart: shed cells are logged as
-/// count+mass markers, so after a crash and recovery the reconciliation
-/// `offered = ingested + dropped` (in updates and in mass) still closes
-/// exactly over the *whole* stream — nothing offered is counted twice,
-/// nothing shed is forgotten.
-#[test]
-fn drop_policy_accounting_reconciles_across_restart() {
-    let s = stream(0xD1);
-    let reg = slow_registry();
-    let spec = SketchSpec::new(SketchFamily::Exact)
-        .with_n(1 << 10)
-        .with_alpha(3.0);
-    // `epoch` fsync policy: a per-cell fsync (`batch`) would throttle the
-    // producer into never overflowing the tiny queue — the shed cells this
-    // test needs logged. The log contents are identical either way.
-    let cfg = ServiceConfig::default()
-        .with_epoch(512)
-        .with_threads(2)
-        .with_chunk(64)
-        .with_depth(1)
-        .with_overflow(OverflowPolicy::Drop)
-        .with_wal(WalPolicy::Epoch);
-
-    let dir = TempDir::new("drop");
-    let stop = s.len() * 3 / 5;
-    let mut svc = StreamService::start(&reg, &spec, cfg).unwrap();
-    svc.persist_to(dir.store()).unwrap();
-    let snaps = svc.ingest(&s.updates[..stop]).unwrap();
-    let pre = snaps.last().unwrap().report;
-    assert!(
-        pre.total_dropped_updates > 0,
-        "queue never overflowed — the slow sketch is not slow enough"
-    );
-    drop(svc);
-
-    // Recovery replays ingested cells as ingested and shed cells as
-    // shed: the logged outcome is replayed, never re-decided, so the
-    // cursor and both sides of the ledger line up exactly.
-    let mut rec = StreamService::recover(&reg, &spec, cfg, dir.store()).unwrap();
-    let from = rec.replay_from();
-    assert!(from >= pre.total_offered_updates() && from <= stop);
-    let mut got = rec.ingest(&s.updates[from..]).unwrap();
-    got.extend(rec.finish().unwrap());
-
-    let last = got.last().unwrap().report;
-    assert_eq!(
-        last.total_updates + last.total_dropped_updates,
-        s.len(),
-        "offered = ingested + dropped must close over the restart"
-    );
-    assert_eq!(last.total_offered_updates(), s.len());
-    assert_eq!(last.total_mass() + last.total_dropped_mass, s.total_mass());
-    assert!(
-        last.total_dropped_updates >= pre.total_dropped_updates,
-        "pre-crash sheds vanished from the ledger"
-    );
-
-    // The sketch state agrees with the ledger's ingested side.
-    let p = got
-        .last()
-        .unwrap()
-        .sketch
-        .as_point()
-        .expect("SlowDurableSketch answers point queries");
-    let net: f64 = (0..1 << 10).map(|i| p.point(i)).sum();
-    assert_eq!(
-        net as i64,
-        last.total_inserted as i64 - last.total_deleted as i64
-    );
-}
-
 /// The log never grows without bound: every persisted cut deletes the
 /// sealed segments it covers, so after a clean `finish` only the live
 /// (empty) segment remains on disk.
@@ -883,19 +737,6 @@ fn durability_ops_keep_their_order() {
     }
 }
 
-/// Every file in `dir`, by name, with its bytes.
-fn files(dir: &std::path::Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
-    let mut out: Vec<_> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| {
-            let e = e.unwrap();
-            (e.file_name(), std::fs::read(e.path()).unwrap())
-        })
-        .collect();
-    out.sort();
-    out
-}
-
 /// A WAL segment of another format version was written by another build:
 /// recovery stops with `UnsupportedVersion` and touches no file, instead
 /// of treating the segment as a torn creation, deleting it and resuming
@@ -921,7 +762,7 @@ fn recovery_refuses_a_foreign_wal_version() {
     let crc = bd_stream::persist::crc32c(&raw[..sealed]);
     raw[sealed..sealed + 4].copy_from_slice(&crc.to_le_bytes());
     std::fs::write(&live, &raw).unwrap();
-    let before = files(&dir.0);
+    let before = listing(&dir.0);
 
     let got = StreamService::recover(registry(), &spec, cfg, dir.store());
     assert!(
@@ -931,5 +772,32 @@ fn recovery_refuses_a_foreign_wal_version() {
         ),
         "{got:?}"
     );
-    assert_eq!(files(&dir.0), before, "recovery changed the store");
+    assert_eq!(listing(&dir.0), before, "recovery changed the store");
+}
+
+/// A WAL segment this process cannot read is refused like one of another
+/// format version: recovery stops with `Io` and touches no file, instead
+/// of replaying around the segment or deleting it.
+#[test]
+fn recovery_refuses_an_unreadable_wal_segment() {
+    let s = stream(0x60);
+    let spec = conformance_spec(SketchFamily::Exact);
+    let cfg = wal_config(s.len(), 2);
+    let dir = TempDir::new("wal-unreadable");
+    let mut svc = StreamService::start(registry(), &spec, cfg).unwrap();
+    svc.persist_to(dir.store()).unwrap();
+    svc.ingest(&s.updates[..11 * cfg.chunk]).unwrap(); // past the first cut
+    drop(svc);
+
+    // A directory named like the next segment.
+    let (seq, _) = wal_segments(&dir.0).unwrap().pop().unwrap();
+    std::fs::create_dir(dir.0.join(format!("wal-{:08}.bdwal", seq + 1))).unwrap();
+    let before = listing(&dir.0);
+
+    let got = StreamService::recover(registry(), &spec, cfg, dir.store());
+    assert!(
+        matches!(got, Err(ServiceError::Persist(PersistError::Io(_)))),
+        "{got:?}"
+    );
+    assert_eq!(listing(&dir.0), before, "recovery changed the store");
 }
