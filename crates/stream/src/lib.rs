@@ -100,7 +100,8 @@ pub use state::{SketchState, StateError, StateReader, StateWriter, MAX_STATE};
 pub use update::{Item, StreamBatch, Update};
 pub use vector::FrequencyVector;
 pub use wal::{
-    read_segment, truncate_segment, wal_segments, SegmentHeader, SegmentScan, WalCell, WalDamage,
-    WalPolicy, WalRecord, WalTruncation, WalWriter, MAX_WAL_RECORD, WAL_MAGIC, WAL_VERSION,
+    read_segment, truncate_segment, wal_segments, SegmentHeader, SegmentReader, SegmentScan,
+    WalCell, WalDamage, WalPolicy, WalRecord, WalTruncation, WalWriter, MAX_WAL_RECORD, WAL_MAGIC,
+    WAL_VERSION,
 };
 pub use wire::{ErrorCode, Request, Response, WireError, WireReport, MAX_FRAME};

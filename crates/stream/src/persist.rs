@@ -56,6 +56,7 @@ use crate::spec::SketchSpec;
 use crate::state::{StateError, StateReader, StateWriter};
 use std::fmt;
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -103,6 +104,9 @@ pub enum PersistError {
     /// different family, shape, or **seed** (the spec string embeds the
     /// seed, so a wrong-seed file is caught here).
     SpecMismatch {
+        /// The file whose stamp this is: a snapshot's or a WAL segment's
+        /// name.
+        file: String,
         /// The spec the caller expected.
         expected: String,
         /// The spec the file stamps.
@@ -112,6 +116,9 @@ pub enum PersistError {
     /// (dispatch geometry — threads/chunk/epoch — must continue
     /// identically for replay to be faithful).
     ConfigMismatch {
+        /// The file whose stamp this is: a snapshot's or a WAL segment's
+        /// name.
+        file: String,
         /// The config the caller expected.
         expected: String,
         /// The config the file stamps.
@@ -132,26 +139,30 @@ pub enum PersistError {
 impl fmt::Display for PersistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PersistError::Io(e) => write!(f, "snapshot I/O failed: {e}"),
-            PersistError::BadMagic => write!(f, "not a snapshot (bad magic)"),
+            PersistError::Io(e) => write!(f, "I/O failed: {e}"),
+            PersistError::BadMagic => write!(f, "bad magic (not a file of this format)"),
             PersistError::UnsupportedVersion(v) => {
-                write!(f, "snapshot format version {v} is not supported")
+                write!(f, "format version {v} is not supported")
             }
             PersistError::Oversized(n) => write!(f, "length {n} exceeds its cap"),
-            PersistError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
-            PersistError::BadSpec(e) => write!(f, "snapshot spec stamp failed to parse: {e}"),
-            PersistError::SpecMismatch { expected, found } => {
-                write!(f, "snapshot spec `{found}` does not match `{expected}`")
-            }
-            PersistError::ConfigMismatch { expected, found } => {
-                write!(f, "snapshot config `{found}` does not match `{expected}`")
-            }
+            PersistError::ChecksumMismatch => write!(f, "checksum mismatch"),
+            PersistError::BadSpec(e) => write!(f, "sketch spec stamp failed to parse: {e}"),
+            PersistError::SpecMismatch {
+                file,
+                expected,
+                found,
+            } => write!(f, "{file}: spec `{found}` does not match `{expected}`"),
+            PersistError::ConfigMismatch {
+                file,
+                expected,
+                found,
+            } => write!(f, "{file}: config `{found}` does not match `{expected}`"),
             PersistError::NotPersistable => {
                 write!(f, "family does not support state persistence")
             }
             PersistError::FaultInjected => write!(f, "injected crash: the process is dead"),
-            PersistError::State(e) => write!(f, "snapshot state blob: {e}"),
-            PersistError::Registry(e) => write!(f, "snapshot rebuild failed: {e}"),
+            PersistError::State(e) => write!(f, "malformed bytes: {e}"),
+            PersistError::Registry(e) => write!(f, "sketch rebuild failed: {e}"),
         }
     }
 }
@@ -313,6 +324,32 @@ pub(crate) fn open(
         return Err(PersistError::ChecksumMismatch);
     }
     Ok((body, r.bytes(r.remaining())?))
+}
+
+/// Read the envelope at the front of `src`, which holds `available`
+/// bytes, and no further: the fixed head (magic, version, body length),
+/// then the body and checksum that length announces, as far as `src`
+/// holds them. A length over `cap` reads nothing more, since [`open`]
+/// refuses it first. [`open`] on the result sees a prefix of `src` that
+/// ends where the envelope does, so it returns what it would on all of
+/// `src`, and nothing is allocated beyond `available` bytes.
+pub(crate) fn read_envelope(
+    src: &mut impl Read,
+    available: u64,
+    cap: usize,
+) -> Result<Vec<u8>, PersistError> {
+    const HEAD: u64 = 4 + 2 + 4;
+    let mut bytes = Vec::new();
+    src.by_ref().take(HEAD).read_to_end(&mut bytes)?;
+    if let Some(len) = bytes.get(6..10) {
+        let len = u32::from_le_bytes(len.try_into().expect("a 4-byte slice")) as usize;
+        if len <= cap {
+            let rest = (len as u64 + 4).min(available.saturating_sub(HEAD));
+            bytes.reserve_exact(rest as usize);
+            src.by_ref().take(rest).read_to_end(&mut bytes)?;
+        }
+    }
+    Ok(bytes)
 }
 
 /// Encode a sketch as a self-describing blob: magic, version, the spec
@@ -534,7 +571,7 @@ impl SnapshotStore {
 
     /// The file path for epoch `epoch`.
     pub fn path_for(&self, epoch: usize) -> PathBuf {
-        self.dir.join(format!("epoch-{epoch:08}.bdsnap"))
+        self.dir.join(snapshot_file_name(epoch))
     }
 
     /// Persist one epoch cut. The file appears atomically under its final
@@ -626,6 +663,11 @@ impl SnapshotStore {
         }
         Ok(None)
     }
+}
+
+/// The file name for epoch `epoch`'s snapshot.
+pub(crate) fn snapshot_file_name(epoch: usize) -> String {
+    format!("epoch-{epoch:08}.bdsnap")
 }
 
 /// Every `{prefix}N{suffix}` file in `dir` with its number `N`, ascending

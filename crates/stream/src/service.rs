@@ -59,7 +59,7 @@
 
 use crate::disk::fault::FaultInjector;
 use crate::merge::{merge_tree, MergeReport};
-use crate::persist::{PersistError, SnapshotStore};
+use crate::persist::{snapshot_file_name, PersistError, SnapshotStore};
 use crate::query::{QueryView, SnapshotHandle, SnapshotHub};
 use crate::registry::{DynSketch, Registry, RegistryError};
 use crate::runner::StreamRunner;
@@ -67,7 +67,7 @@ use crate::space::SpaceReport;
 use crate::spec::{parse_u64, SketchSpec, SpecError};
 use crate::state::StateError;
 use crate::update::Update;
-use crate::wal::{self, SealedSegment, WalCell, WalPolicy, WalRecord, WalWriter};
+use crate::wal::{self, SealedSegment, SegmentReader, WalCell, WalPolicy, WalRecord, WalWriter};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -102,9 +102,10 @@ pub enum ServiceError {
         /// Index of the dead worker in `0..threads`.
         worker: usize,
     },
-    /// Snapshot persistence or recovery failed — writing an epoch cut to
-    /// the attached [`SnapshotStore`], or loading/validating one during
-    /// [`StreamService::recover`].
+    /// Persistence or recovery failed — writing an epoch cut or a
+    /// write-ahead-log record to the attached [`SnapshotStore`]'s
+    /// directory, or loading and validating a snapshot or a log segment
+    /// during [`StreamService::recover`].
     Persist(PersistError),
 }
 
@@ -114,7 +115,7 @@ impl fmt::Display for ServiceError {
             ServiceError::WorkerDied { worker } => {
                 write!(f, "service worker {worker} died (its thread is gone)")
             }
-            ServiceError::Persist(e) => write!(f, "snapshot persistence failed: {e}"),
+            ServiceError::Persist(e) => write!(f, "persistence failed: {e}"),
         }
     }
 }
@@ -236,7 +237,9 @@ impl ServiceConfig {
         )
     }
 
-    /// Validate the fields (zero values would deadlock the dispatch loop).
+    /// Validate the fields: zero values would deadlock the dispatch loop,
+    /// and with a log on, a `chunk` whose cell no WAL record can hold would
+    /// fail every append.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.epoch == 0 {
             return Err(SpecError::BadField("epoch", "must be ≥ 1".into()));
@@ -255,6 +258,17 @@ impl ServiceConfig {
         }
         if self.chunk == 0 {
             return Err(SpecError::BadField("chunk", "must be ≥ 1".into()));
+        }
+        if self.wal != WalPolicy::Off && self.chunk > wal::MAX_LOGGED_CELL {
+            return Err(SpecError::BadField(
+                "chunk",
+                format!(
+                    "{} exceeds the {} updates one write-ahead-log record holds (wal={})",
+                    self.chunk,
+                    wal::MAX_LOGGED_CELL,
+                    self.wal
+                ),
+            ));
         }
         if self.depth == 0 {
             return Err(SpecError::BadField("depth", "must be ≥ 1".into()));
@@ -557,6 +571,19 @@ impl StreamService {
         spec: &SketchSpec,
         config: ServiceConfig,
     ) -> Result<Self, RegistryError> {
+        let (config, sketches) = Self::build_workers(registry, spec, config)?;
+        Ok(Self::assemble(spec, config, sketches))
+    }
+
+    /// Check `config` and the family's capabilities, and build one sketch
+    /// per worker: everything [`StreamService::start`] does before it
+    /// spawns the workers, so [`StreamService::recover`] can seed worker 0
+    /// in between.
+    fn build_workers(
+        registry: &Registry,
+        spec: &SketchSpec,
+        config: ServiceConfig,
+    ) -> Result<(ServiceConfig, Vec<Box<dyn DynSketch>>), RegistryError> {
         config.validate()?;
         let info = registry
             .info(spec.family)
@@ -566,17 +593,11 @@ impl StreamService {
             return Err(RegistryError::NotMergeable);
         }
         let sketches = registry.build_n(spec, threads)?;
-        Ok(Self::assemble(
-            spec,
-            ServiceConfig { threads, ..config },
-            sketches,
-        ))
+        Ok((ServiceConfig { threads, ..config }, sketches))
     }
 
     /// Spawn one worker thread per pre-built sketch and wire the service
-    /// around them. Factored out of [`StreamService::start`] so
-    /// [`StreamService::recover`] can seed worker 0 with a
-    /// snapshot-restored sketch instead of a fresh one.
+    /// around them.
     fn assemble(
         spec: &SketchSpec,
         config: ServiceConfig,
@@ -728,21 +749,26 @@ impl StreamService {
         store: SnapshotStore,
     ) -> Result<Self, ServiceError> {
         let rec = store.load_latest(registry).map_err(ServiceError::Persist)?;
-        let mut svc = StreamService::start(registry, spec, config)
+        let (config, mut sketches) = Self::build_workers(registry, spec, config)
             .map_err(|e| ServiceError::Persist(PersistError::Registry(e)))?;
-        if let Some(rec) = rec {
-            svc.check_stamps(&rec.spec.to_string(), &rec.config)?;
-            let offered =
+        let mut offered = 0;
+        if let Some(rec) = &rec {
+            check_stamps(
+                spec,
+                &config,
+                snapshot_file_name(rec.report.epoch),
+                &rec.spec.to_string(),
+                &rec.config,
+            )?;
+            offered =
                 usize::try_from(rec.offered).map_err(|_| PersistError::Oversized(rec.offered))?;
-            // Re-assemble with worker 0 seeded by the restored merged sketch
-            // (the same identity the merge fold preserves: worker 0's clone is
-            // always the fold survivor). The fresh `svc` above already proved
-            // the spec is buildable and mergeable at this thread count.
-            let mut sketches = registry
-                .build_n(spec, svc.config.threads)
-                .map_err(|e| ServiceError::Persist(PersistError::Registry(e)))?;
+            // Worker 0 starts from the restored merged sketch (the same
+            // identity the merge fold preserves: worker 0's clone is always
+            // the fold survivor).
             sketches[0] = rec.sketch.clone_dyn();
-            svc = Self::assemble(spec, svc.config, sketches);
+        }
+        let mut svc = Self::assemble(spec, config, sketches);
+        if let Some(rec) = rec {
             // Resume the stream cursor and the cumulative accounting exactly
             // where the snapshot froze them; per-epoch tallies start at zero
             // (the cut was an epoch boundary).
@@ -781,13 +807,15 @@ impl StreamService {
     }
 
     /// Replay every intact WAL record beyond the current stream cursor,
-    /// re-dispatching through the same chunk grid (the log is not open
-    /// yet, so nothing is re-logged). Torn tails are repaired in place —
-    /// physically truncated to the valid prefix, through the store's
-    /// durability layer — and end the replayable chain; so does any gap in
-    /// the offered sequence, and so does a shed cell, which this build
-    /// never writes. Returns the scanned segments (sealed, for later
-    /// truncation) and the highest sequence number seen.
+    /// re-dispatching each cell through the same chunk grid as soon as it
+    /// is read (the log is not open yet, so nothing is re-logged): replay
+    /// holds one frame plus the worker queues, however long the tail.
+    /// Torn tails are repaired in place — physically truncated to the
+    /// valid prefix, through the store's durability layer — and end the
+    /// replayable chain; so does any gap in the offered sequence, and so
+    /// does a shed cell, which this build never writes. Returns the
+    /// scanned segments (sealed, for later truncation) and the highest
+    /// sequence number seen.
     fn replay_wal_tail(
         &mut self,
         store: &SnapshotStore,
@@ -798,8 +826,8 @@ impl StreamService {
         let mut sealed = Vec::new();
         let mut intact = true;
         for (seq, path) in segments {
-            let scan = match wal::read_segment(&path) {
-                Ok(scan) => scan,
+            let mut reader = match SegmentReader::open(&path) {
+                Ok(reader) => reader,
                 // Another build's log, or one this process cannot read:
                 // refuse it rather than replay around it or delete it.
                 Err(e @ (PersistError::UnsupportedVersion(_) | PersistError::Io(_))) => {
@@ -825,9 +853,17 @@ impl StreamService {
                     continue;
                 }
             };
-            self.check_stamps(&scan.header.spec, &scan.header.config)?;
-            let mut seg_end = scan.header.start_offered;
-            for rec in scan.records {
+            let header = reader.header();
+            check_stamps(
+                &self.spec,
+                &self.config,
+                wal::segment_file_name(seq),
+                &header.spec,
+                &header.config,
+            )?;
+            let mut seg_end = header.start_offered;
+            for rec in &mut reader {
+                let rec = rec?;
                 let end = rec.end_offered();
                 seg_end = seg_end.max(end);
                 if !intact || end <= self.total_updates as u64 {
@@ -843,16 +879,15 @@ impl StreamService {
                         continue;
                     }
                 };
+                // A logged cell is one whole cell of the grid, so it goes
+                // to its worker as decoded, past the (empty) buffer.
                 debug_assert!(self.buf.is_empty());
-                // Freshly decoded, so the `Arc` is unique and this unwraps
-                // without copying.
-                self.buf = Arc::try_unwrap(updates).unwrap_or_else(|arc| arc.as_ref().clone());
-                self.flush()?;
+                self.dispatch(updates)?;
                 if self.in_epoch as u64 >= self.config.epoch {
                     self.cut()?;
                 }
             }
-            if let Some(trunc) = scan.truncation {
+            if let Some(trunc) = reader.truncation() {
                 // Make the repair physical so the next recovery (or an
                 // operator inspecting the file) sees a clean segment.
                 wal::repair_segment(&store.disk, &path, trunc.valid_len)?;
@@ -868,29 +903,6 @@ impl StreamService {
         // republishing it to the hub on the way.
         self.drain_pending(&mut Vec::new())?;
         Ok((sealed, max_seq))
-    }
-
-    /// Refuse durable state stamped with another spec or dispatch
-    /// geometry: [`PersistError::SpecMismatch`] (the spec string embeds
-    /// the seed, and spec strings round-trip exactly) or
-    /// [`PersistError::ConfigMismatch`] (replay is faithful only if
-    /// dispatch continues identically).
-    fn check_stamps(&self, spec: &str, config: &str) -> Result<(), PersistError> {
-        let expected = self.spec.to_string();
-        if spec != expected {
-            return Err(PersistError::SpecMismatch {
-                expected,
-                found: spec.to_string(),
-            });
-        }
-        let expected = self.config.geometry_string();
-        if config != expected {
-            return Err(PersistError::ConfigMismatch {
-                expected,
-                found: config.to_string(),
-            });
-        }
-        Ok(())
     }
 
     /// The stream position this service resumed from — replay the source
@@ -974,20 +986,24 @@ impl StreamService {
         Ok(())
     }
 
-    /// Dispatch the buffered batch to its worker and tally the accounting.
-    /// The target is a pure function of the stream position — update `t`
-    /// belongs to worker `(t / chunk) mod threads` — so the update → worker
-    /// assignment (and therefore every snapshot) is independent of how the
-    /// caller slices the source into `ingest` calls. The buffer never spans
-    /// a cell of that grid.
+    /// Dispatch the buffered batch, if any. The buffer never spans a cell
+    /// of the chunk grid.
     fn flush(&mut self) -> Result<(), ServiceError> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        let batch = Arc::new(std::mem::replace(
-            &mut self.buf,
-            Vec::with_capacity(self.config.chunk),
-        ));
+        let batch = std::mem::replace(&mut self.buf, Vec::with_capacity(self.config.chunk));
+        self.dispatch(Arc::new(batch))
+    }
+
+    /// Dispatch one batch, which starts at the stream position and spans
+    /// no cell boundary of the chunk grid, to its worker; tally the
+    /// accounting and log it. The target is a pure function of the stream
+    /// position — update `t` belongs to worker `(t / chunk) mod threads` —
+    /// so the update → worker assignment (and therefore every snapshot) is
+    /// independent of how the caller slices the source into `ingest`
+    /// calls.
+    fn dispatch(&mut self, batch: Arc<Vec<Update>>) -> Result<(), ServiceError> {
         let (mut ins, mut del) = (0u64, 0u64);
         for u in batch.iter() {
             if u.delta > 0 {
@@ -1288,6 +1304,37 @@ impl StreamService {
     }
 }
 
+/// Refuse durable state stamped with another spec or dispatch geometry
+/// than `spec` and `config`: [`PersistError::SpecMismatch`] (the spec
+/// string embeds the seed, and spec strings round-trip exactly) or
+/// [`PersistError::ConfigMismatch`] (replay is faithful only if dispatch
+/// continues identically), each naming the `file` the stamps came from.
+fn check_stamps(
+    spec: &SketchSpec,
+    config: &ServiceConfig,
+    file: String,
+    stamped_spec: &str,
+    stamped_config: &str,
+) -> Result<(), PersistError> {
+    let expected = spec.to_string();
+    if stamped_spec != expected {
+        return Err(PersistError::SpecMismatch {
+            file,
+            expected,
+            found: stamped_spec.to_string(),
+        });
+    }
+    let expected = config.geometry_string();
+    if stamped_config != expected {
+        return Err(PersistError::ConfigMismatch {
+            file,
+            expected,
+            found: stamped_config.to_string(),
+        });
+    }
+    Ok(())
+}
+
 impl Drop for StreamService {
     /// Close the command queues so worker threads exit even when the
     /// service is dropped without [`StreamService::finish`].
@@ -1381,6 +1428,52 @@ mod tests {
         assert!("service:depth=0".parse::<ServiceConfig>().is_err());
         assert!("service:frob=1".parse::<ServiceConfig>().is_err());
         assert!("shard:epoch=1".parse::<ServiceConfig>().is_err());
+    }
+
+    /// With a log on, `chunk` is capped at the largest cell one WAL record
+    /// holds (`MAX_WAL_RECORD`): a parsed or a built config above it is
+    /// refused, as it is not under `wal=off`, and one full cell of the
+    /// largest size that fits is logged and recovered.
+    #[test]
+    fn chunk_is_capped_by_the_largest_wal_record() {
+        let r = reg();
+        for wal in [WalPolicy::Batch, WalPolicy::Epoch] {
+            let parsed = format!("service:epoch=2^20,threads=1,chunk=2^20,wal={wal}");
+            assert!(
+                matches!(
+                    parsed.parse::<ServiceConfig>(),
+                    Err(SpecError::BadField("chunk", _))
+                ),
+                "{parsed}"
+            );
+            let built = ServiceConfig::default()
+                .with_threads(1)
+                .with_chunk(1 << 20)
+                .with_wal(wal);
+            assert!(matches!(
+                StreamService::start(&r, &spec(), built),
+                Err(RegistryError::Spec(SpecError::BadField("chunk", _)))
+            ));
+        }
+        let off: ServiceConfig = "service:epoch=2^20,threads=1,chunk=2^20,wal=off"
+            .parse()
+            .unwrap();
+        assert_eq!(off.chunk, 1 << 20);
+
+        let chunk = (1 << 20) - 1;
+        let cfg: ServiceConfig = format!("service:epoch=2^21,threads=1,chunk={chunk},wal=batch")
+            .parse()
+            .unwrap();
+        let dir = std::env::temp_dir().join(format!("bd-chunk-cap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut svc = StreamService::start(&r, &spec(), cfg).unwrap();
+        svc.persist_to(SnapshotStore::open(&dir).unwrap()).unwrap();
+        let cell: Vec<Update> = (0..chunk as u64).map(|t| Update::new(t % 64, 1)).collect();
+        svc.ingest(&cell).unwrap();
+        drop(svc);
+        let rec = StreamService::recover(&r, &spec(), cfg, SnapshotStore::open(&dir).unwrap());
+        assert_eq!(rec.unwrap().replay_from(), chunk);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -36,10 +36,10 @@
 //! A record's checksum covers its body only, not its length prefix, so
 //! records are framed by hand rather than by the envelope: the layout is
 //! fixed at `WAL_VERSION` 1. Records self-stamp their offered position, so
-//! replay is total under any crash: [`read_segment`] consumes frames until
-//! the first torn or corrupt one and reports the damage as a typed
-//! [`WalTruncation`] — never a panic, never a partial record handed to
-//! the caller.
+//! replay is total under any crash: a [`SegmentReader`] yields frames one
+//! at a time until the first torn or corrupt one and reports the damage as
+//! a typed [`WalTruncation`] — never a panic, never a partial record
+//! handed to the caller, and never more than one frame in memory.
 //!
 //! ## Fsync contract
 //!
@@ -77,12 +77,13 @@
 //! the log.
 
 use crate::disk::Disk;
-use crate::persist::{crc32c, numbered_files, open, seal, PersistError};
+use crate::persist::{crc32c, numbered_files, open, read_envelope, seal, PersistError};
 use crate::spec::SpecError;
 use crate::state::{StateReader, StateWriter};
 use crate::update::Update;
 use std::fmt;
 use std::fs;
+use std::io::{self, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::Arc;
@@ -100,6 +101,13 @@ pub const WAL_VERSION: u16 = 1;
 /// one the reader would reject, and the reader rejects a corrupt length
 /// header before it can demand an absurd allocation.
 pub const MAX_WAL_RECORD: usize = 1 << 24;
+
+/// The most updates one logged cell can carry, `2^20 − 1`: the largest
+/// `n` whose [`WalCell::Batch`] body — the offered position (`u64`), the
+/// kind tag (`u8`), the count (`u32`), then `16·n` bytes of updates —
+/// fits [`MAX_WAL_RECORD`]. The service config refuses a larger `chunk`
+/// while a log is on.
+pub(crate) const MAX_LOGGED_CELL: usize = (MAX_WAL_RECORD - (8 + 1 + 4)) / 16;
 
 /// When the log reaches disk — the `wal=` value in the service config
 /// grammar.
@@ -361,15 +369,22 @@ fn decode_record_body(body: &[u8]) -> Result<WalRecord, ()> {
     let cell = match kind {
         1 => {
             let count = r.u32().map_err(|_| ())? as usize;
-            if count.saturating_mul(16) > MAX_WAL_RECORD {
+            // One length check for the whole cell: the rest of the body is
+            // exactly `count` 16-byte updates.
+            let raw = r.bytes(r.remaining()).map_err(|_| ())?;
+            if count.checked_mul(16) != Some(raw.len()) {
                 return Err(());
             }
-            let mut updates = Vec::with_capacity(count);
-            for _ in 0..count {
-                let item = r.u64().map_err(|_| ())?;
-                let delta = r.i64().map_err(|_| ())?;
-                updates.push(Update { item, delta });
-            }
+            let updates = raw
+                .chunks_exact(16)
+                .map(|u| {
+                    let (item, delta) = u.split_at(8);
+                    Update {
+                        item: u64::from_le_bytes(item.try_into().expect("8 of 16 bytes")),
+                        delta: i64::from_le_bytes(delta.try_into().expect("8 of 16 bytes")),
+                    }
+                })
+                .collect();
             WalCell::Batch(Arc::new(updates))
         }
         2 => WalCell::Shed {
@@ -382,65 +397,180 @@ fn decode_record_body(body: &[u8]) -> Result<WalRecord, ()> {
     Ok(WalRecord { offered, cell })
 }
 
-/// Decode the record frame that starts at byte `pos`: the record and the
-/// offset just past its frame, or what is wrong with the frame.
-fn record_at(bytes: &[u8], pos: usize) -> Result<(WalRecord, usize), WalDamage> {
-    let len_bytes = bytes.get(pos..pos + 4).ok_or(WalDamage::TornFrame)?;
-    let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
-    if len == 0 || len > MAX_WAL_RECORD {
-        return Err(WalDamage::BadLength);
-    }
-    let end = pos + 8 + len;
-    let (body, crc) = bytes
-        .get(pos + 4..end)
-        .ok_or(WalDamage::TornFrame)?
-        .split_at(len);
-    if crc32c(body) != u32::from_le_bytes(crc.try_into().unwrap()) {
-        return Err(WalDamage::Checksum);
-    }
-    let rec = decode_record_body(body).map_err(|()| WalDamage::Malformed)?;
-    Ok((rec, end))
+/// A segment read one record at a time: strict on the header, which
+/// [`SegmentReader::open`] checks, then **total on the records** — it
+/// yields every intact record in append order and stops at the first torn
+/// or corrupt frame, which [`SegmentReader::truncation`] then reports as a
+/// typed [`WalTruncation`] instead of an error. Frames are read through a
+/// `BufReader` into one reused buffer, and each frame's length is checked
+/// against the bytes left in the file before anything is allocated for
+/// it, so the reader holds one frame however long the segment is.
+///
+/// Recovery dispatches each record as it is yielded; [`read_segment`]
+/// collects them.
+pub struct SegmentReader {
+    header: SegmentHeader,
+    file: BufReader<fs::File>,
+    /// The file's length when it was opened.
+    len: u64,
+    /// Offset of the next frame: the end of the intact prefix so far.
+    pos: u64,
+    /// The current frame's body and checksum, reused across frames.
+    frame: Vec<u8>,
+    truncation: Option<WalTruncation>,
+    done: bool,
 }
 
-/// Read and validate one segment: strict on the header (a segment whose
-/// header doesn't open is unusable — [`PersistError::BadMagic`] and
-/// friends), **total on the records** — the scan stops at the first torn
-/// or corrupt frame and reports it as a typed [`WalTruncation`] instead
-/// of an error. A clean empty segment (header only) is valid.
-pub fn read_segment(path: impl AsRef<Path>) -> Result<SegmentScan, PersistError> {
-    let bytes = fs::read(path.as_ref())?;
-    let (body, records_bytes) = open(WAL_MAGIC, WAL_VERSION, MAX_WAL_RECORD, &bytes)?;
-    let mut hr = StateReader::new(body);
-    let header = SegmentHeader {
-        spec: hr.str()?,
-        config: hr.str()?,
-        seq: hr.u64()?,
-        start_offered: hr.u64()?,
-    };
-    hr.finish()?;
+impl fmt::Debug for SegmentReader {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SegmentReader")
+            .field("header", &self.header)
+            .field("pos", &self.pos)
+            .field("truncation", &self.truncation)
+            .finish_non_exhaustive()
+    }
+}
 
-    let mut records = Vec::new();
-    let mut pos = bytes.len() - records_bytes.len();
-    let mut truncation = None;
-    while pos < bytes.len() {
-        match record_at(&bytes, pos) {
-            Ok((rec, next)) => {
-                records.push(rec);
-                pos = next;
-            }
-            Err(damage) => {
-                truncation = Some(WalTruncation {
-                    valid_len: pos as u64,
+impl SegmentReader {
+    /// Open segment `path` and check its header. A header that does not
+    /// open makes the segment unusable: [`PersistError::BadMagic`],
+    /// [`PersistError::UnsupportedVersion`], [`PersistError::Oversized`],
+    /// `State(Truncated)` or [`PersistError::ChecksumMismatch`], checked
+    /// in that order. So is a path that is not a regular file
+    /// ([`PersistError::Io`]). A clean empty segment (header only) is
+    /// valid and yields no record.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, PersistError> {
+        let path = path.as_ref();
+        let file = fs::File::open(path)?;
+        let meta = file.metadata()?;
+        // `File::open` opens a directory too, and its reported size says
+        // nothing about what a read returns.
+        if !meta.is_file() {
+            return Err(PersistError::Io(format!(
+                "{} is not a regular file",
+                path.display()
+            )));
+        }
+        let len = meta.len();
+        let mut file = BufReader::new(file);
+        let envelope = read_envelope(&mut file, len, MAX_WAL_RECORD)?;
+        let (body, _) = open(WAL_MAGIC, WAL_VERSION, MAX_WAL_RECORD, &envelope)?;
+        let mut hr = StateReader::new(body);
+        let header = SegmentHeader {
+            spec: hr.str()?,
+            config: hr.str()?,
+            seq: hr.u64()?,
+            start_offered: hr.u64()?,
+        };
+        hr.finish()?;
+        Ok(SegmentReader {
+            header,
+            file,
+            len,
+            pos: envelope.len() as u64,
+            frame: Vec::new(),
+            truncation: None,
+            done: false,
+        })
+    }
+
+    /// The decoded header.
+    pub fn header(&self) -> &SegmentHeader {
+        &self.header
+    }
+
+    /// `Some` iff the record stream ended at a torn or corrupt frame
+    /// rather than a clean end of file. Known only once the reader has
+    /// yielded its last record.
+    pub fn truncation(&self) -> Option<WalTruncation> {
+        self.truncation
+    }
+
+    /// Read the frame at `pos` and advance past it: the record, or what is
+    /// wrong with the frame. A file that ends early is a torn frame; any
+    /// other read failure is the error.
+    fn read_frame(&mut self) -> io::Result<Result<WalRecord, WalDamage>> {
+        let left = self.len - self.pos;
+        let mut len_bytes = [0u8; 4];
+        if left < 4 || !fill(&mut self.file, &mut len_bytes)? {
+            return Ok(Err(WalDamage::TornFrame));
+        }
+        let len = u32::from_le_bytes(len_bytes) as usize;
+        if len == 0 || len > MAX_WAL_RECORD {
+            return Ok(Err(WalDamage::BadLength));
+        }
+        // Body and checksum, checked against what the file still holds
+        // before the buffer grows for them.
+        let need = len + 4;
+        if need as u64 > left - 4 {
+            return Ok(Err(WalDamage::TornFrame));
+        }
+        if self.frame.len() < need {
+            self.frame.reserve_exact(need - self.frame.len());
+            self.frame.resize(need, 0);
+        }
+        let frame = &mut self.frame[..need];
+        if !fill(&mut self.file, frame)? {
+            return Ok(Err(WalDamage::TornFrame));
+        }
+        let (body, crc) = frame.split_at(len);
+        if crc32c(body) != u32::from_le_bytes(crc.try_into().expect("a 4-byte checksum")) {
+            return Ok(Err(WalDamage::Checksum));
+        }
+        let Ok(rec) = decode_record_body(body) else {
+            return Ok(Err(WalDamage::Malformed));
+        };
+        self.pos += 4 + need as u64;
+        Ok(Ok(rec))
+    }
+}
+
+impl Iterator for SegmentReader {
+    /// An intact record, or the read failure that ended the stream.
+    type Item = Result<WalRecord, PersistError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done || self.pos == self.len {
+            return None;
+        }
+        match self.read_frame() {
+            Ok(Ok(rec)) => Some(Ok(rec)),
+            Ok(Err(damage)) => {
+                self.done = true;
+                self.truncation = Some(WalTruncation {
+                    valid_len: self.pos,
                     damage,
                 });
-                break;
+                None
+            }
+            Err(e) => {
+                self.done = true;
+                Some(Err(e.into()))
             }
         }
     }
+}
+
+/// `read_exact`, with a source that ends first reported as `false` rather
+/// than as an error: the file was shorter than its length said.
+fn fill(src: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
+    match src.read_exact(buf) {
+        Ok(()) => Ok(true),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(false),
+        Err(e) => Err(e),
+    }
+}
+
+/// Read and validate one whole segment: [`SegmentReader`]'s records,
+/// collected. Strict on the header, total on the records, as the reader
+/// is. A clean empty segment (header only) is valid.
+pub fn read_segment(path: impl AsRef<Path>) -> Result<SegmentScan, PersistError> {
+    let mut reader = SegmentReader::open(path)?;
+    let records = reader.by_ref().collect::<Result<_, _>>()?;
     Ok(SegmentScan {
-        header,
+        header: reader.header,
         records,
-        truncation,
+        truncation: reader.truncation,
     })
 }
 
@@ -880,6 +1010,119 @@ mod tests {
             assert!(
                 read_segment(&path).is_err(),
                 "header bit {bit} flipped read"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The reader's laws on a three-record segment. Cut anywhere in the
+    /// records region, or flip any one bit there, and the reader yields
+    /// exactly the records whose frames lie wholly before the damage, then
+    /// reports a truncation at the damaged frame's start; a cut on a frame
+    /// boundary is a clean end, with no truncation.
+    #[test]
+    fn reader_yields_exactly_the_frames_before_any_damage() {
+        let dir = tmp("laws");
+        let recs = [
+            batch(0, 3),
+            batch(3, 5),
+            WalRecord {
+                offered: 8,
+                cell: WalCell::Shed { count: 2, mass: 9 },
+            },
+        ];
+        let mut w = WalWriter::open(&dir, "spec", "cfg", WalPolicy::Epoch, 0, 0).unwrap();
+        for r in &recs {
+            w.append(r).unwrap();
+        }
+        drop(w);
+        let path = dir.join(segment_file_name(0));
+        let clean = fs::read(&path).unwrap();
+        // Frame boundaries: the header's end, then each frame's end.
+        let frames: usize = recs.iter().map(|r| encode_record(r).len()).sum();
+        let mut bounds = vec![clean.len() - frames];
+        for r in &recs {
+            bounds.push(bounds.last().unwrap() + encode_record(r).len());
+        }
+        // How many frames end at or before byte offset `at`.
+        let whole_before = |at: usize| bounds.iter().rposition(|&b| b <= at).unwrap();
+
+        for cut in bounds[0]..=clean.len() {
+            fs::write(&path, &clean[..cut]).unwrap();
+            let scan = read_segment(&path).unwrap();
+            let k = whole_before(cut);
+            assert_eq!(scan.records, recs[..k], "cut at {cut}");
+            let want = (cut != bounds[k]).then_some(bounds[k] as u64);
+            assert_eq!(scan.truncation.map(|t| t.valid_len), want, "cut at {cut}");
+        }
+        for bit in bounds[0] * 8..clean.len() * 8 {
+            let mut bad = clean.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            fs::write(&path, &bad).unwrap();
+            let scan = read_segment(&path).unwrap();
+            let k = whole_before(bit / 8);
+            assert_eq!(scan.records, recs[..k], "bit {bit} flipped");
+            assert_eq!(
+                scan.truncation.map(|t| t.valid_len),
+                Some(bounds[k] as u64),
+                "bit {bit} flipped"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A final frame whose length header claims a whole [`MAX_WAL_RECORD`]
+    /// body with 16 bytes behind it is torn, and the reader never grows its
+    /// buffer past the file's length to find that out.
+    #[test]
+    fn reader_checks_a_frame_length_before_allocating() {
+        let dir = tmp("claim");
+        let recs = [batch(0, 6), batch(6, 6)];
+        let mut w = WalWriter::open(&dir, "s", "c", WalPolicy::Batch, 0, 0).unwrap();
+        for r in &recs {
+            w.append(r).unwrap();
+        }
+        drop(w);
+        let path = dir.join(segment_file_name(0));
+        let mut bytes = fs::read(&path).unwrap();
+        let intact = bytes.len() as u64;
+        bytes.extend_from_slice(&(MAX_WAL_RECORD as u32).to_le_bytes());
+        bytes.extend_from_slice(&[0; 16]);
+        fs::write(&path, &bytes).unwrap();
+
+        let mut reader = SegmentReader::open(&path).unwrap();
+        let mut got = Vec::new();
+        while let Some(rec) = reader.next() {
+            got.push(rec.unwrap());
+            assert!(reader.frame.capacity() <= bytes.len());
+        }
+        assert!(reader.frame.capacity() <= bytes.len());
+        assert_eq!(got, recs);
+        assert_eq!(
+            reader.truncation(),
+            Some(WalTruncation {
+                valid_len: intact,
+                damage: WalDamage::TornFrame,
+            })
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A directory named like a segment is an I/O error from `open`, not a
+    /// header to check: `File::open` opens a directory, and the size a
+    /// filesystem reports for one changes with its entries.
+    #[test]
+    fn reader_refuses_a_directory_named_like_a_segment() {
+        let dir = tmp("dir-segment");
+        let fake = dir.join(segment_file_name(5));
+        fs::create_dir_all(&fake).unwrap();
+        for entries in [0, 3, 40] {
+            for i in 0..entries {
+                fs::write(fake.join(format!("entry-{i}")), b"x").unwrap();
+            }
+            assert!(
+                matches!(SegmentReader::open(&fake), Err(PersistError::Io(_))),
+                "{entries} entries"
             );
         }
         let _ = fs::remove_dir_all(&dir);

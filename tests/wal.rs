@@ -533,6 +533,16 @@ fn wal_replays_without_any_snapshot_and_enforces_stamps() {
         StreamService::recover(registry(), &spec, wrong_cfg, dir.store()),
         Err(ServiceError::Persist(PersistError::ConfigMismatch { .. }))
     ));
+    // The refusal names the segment whose stamp it read, not a snapshot.
+    let refused = StreamService::recover(registry(), &spec, wrong_cfg, dir.store()).unwrap_err();
+    assert_eq!(
+        refused.to_string(),
+        format!(
+            "persistence failed: wal-00000000.bdwal: config `{}` does not match `{}`",
+            cfg.geometry_string(),
+            wrong_cfg.geometry_string()
+        )
+    );
     // Durability knobs are *not* part of the stamp: the same log may be
     // reopened with a different fsync policy or retention.
     let relaxed = cfg.with_wal(WalPolicy::Epoch).with_retain(2);
