@@ -20,8 +20,11 @@
 //! WAL-tail replay path of recovery, with an in-bench gate holding the
 //! `epoch`-policy append overhead under 20% of the no-WAL persisted rate
 //! (`batch` pays an fsync per dispatch cell by design, so its row is
-//! reported ungated) — all gated by `scripts/bench_compare.sh` so no
-//! section can silently disappear.
+//! reported ungated) —
+//! and the `binomial` section: CSSS's `Bin(n, 2^-q)` draw by halving versus
+//! the shipped `bin_pow2`, on cells either side of its inversion crossover —
+//! all gated by `scripts/bench_compare.sh` so no section can silently
+//! disappear.
 //!
 //! Sketches are named by `SketchSpec` and built through the workspace
 //! registry, so adding a structure to the sweep is one spec line.
@@ -37,6 +40,7 @@
 
 use bd_bench::micro::{self, Measurement};
 use bd_bench::registry;
+use bd_core::binomial::{bin_pow2, bin_pow2_halving, bin_pow2_inverts};
 use bd_core::AlphaHeavyHitters;
 use bd_hash::{simd, M61Elem};
 use bd_stream::gen::BoundedDeletionGen;
@@ -103,6 +107,26 @@ fn ingest_service(
         snaps.extend(svc.finish().expect("final cut"));
         assert_eq!(snaps.len(), epochs, "epoch snapshots");
         std::hint::black_box(snaps.iter().map(|sn| sn.report.space_bits()).sum::<u64>());
+    })
+}
+
+/// Draws timed per sample by the `binomial` section.
+const DRAWS: u64 = 1 << 18;
+
+/// Time `DRAWS` draws of `draw(rng, n, q)` per sample.
+fn time_draws(
+    name: &str,
+    n: u64,
+    q: u32,
+    draw: impl Fn(&mut SmallRng, u64, u32) -> u64,
+) -> Measurement {
+    let mut rng = SmallRng::seed_from_u64(u64::from(q) << 32 | n);
+    micro::sample(name, DRAWS, SAMPLES, WARMUP, |_| {
+        let mut kept = 0u64;
+        for _ in 0..DRAWS {
+            kept += draw(&mut rng, std::hint::black_box(n), std::hint::black_box(q));
+        }
+        std::hint::black_box(kept);
     })
 }
 
@@ -184,8 +208,60 @@ fn main() {
         },
     );
     micro::report(&steady);
-    println!();
     results.push(steady);
+
+    // Deep α heavy hitters: a long-running service worker sits at CSSS
+    // level 8 or deeper (perfbench's `ingest` workers reach 6–9), where a
+    // row's `Bin(w, 2^-p)` draw keeps no unit for almost every weighted
+    // update. Keep warming the steady sketch to level 8, then time passes.
+    while hh.sampling_level() < 8 {
+        bat.run(&mut hh, &stream);
+    }
+    let deep = micro::sample(
+        "alpha_heavy_hitters/update_batch_deep",
+        stream.len() as u64,
+        SAMPLES,
+        WARMUP,
+        |_| {
+            bat.run(&mut hh, &stream);
+        },
+    );
+    micro::report(&deep);
+    println!();
+    results.push(deep);
+
+    // Sampler microsection: `Bin(n, 2^-q)` by q halvings against the
+    // shipped `bin_pow2`, which inverts below a mean of ½ and halves
+    // above it. The crossover constant (`binomial::INVERSION_MEAN_SHIFT`)
+    // rests on these rows: on the cells that invert, inversion should
+    // beat halving, and the cells that fall back should pay only the
+    // crossover test. Reported, not gated. `scripts/bench_compare.sh`
+    // asserts the section exists.
+    println!("binomial — Bin(n, 2^-q) by halving vs the shipped bin_pow2\n");
+    let mut binomial_pairs: Vec<String> = Vec::new();
+    for q in [1u32, 4, 8] {
+        for n in [1u64, 8, 64] {
+            let halving = time_draws(
+                &format!("binomial/halving_q{q}_n{n}"),
+                n,
+                q,
+                bin_pow2_halving,
+            );
+            let shipped = time_draws(&format!("binomial/bin_pow2_q{q}_n{n}"), n, q, bin_pow2);
+            micro::report(&halving);
+            micro::report(&shipped);
+            let branch = if bin_pow2_inverts(n, q) {
+                "inversion"
+            } else {
+                "halving"
+            };
+            let speedup = halving.ns_per_op / shipped.ns_per_op;
+            println!("  q={q} n={n:<41} {speedup:>10.2}x ({branch})\n");
+            binomial_pairs.push(format!("q{q}_n{n}={speedup:.2}x({branch})"));
+            results.push(halving);
+            results.push(shipped);
+        }
+    }
 
     // The amplified L1 sampler (30 instances at ε = 0.1) groups each chunk
     // once, item index included, and replays it into every instance; each
@@ -948,6 +1024,7 @@ fn main() {
             ("target_features", simd::detected_features()),
             ("simd_kernel_speedups", simd_speedups.join(",")),
             ("merge_tree_speedup", format!("{merge_speedup:.2}x")),
+            ("binomial_speedups", binomial_pairs.join(",")),
             (
                 "speedups",
                 pairs

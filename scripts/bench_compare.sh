@@ -17,9 +17,11 @@
 # (TCP round-trips under concurrent readers), service_overload (burst
 # ingestion through bounded queues, with the bounded-RSS assertion),
 # persist (snapshot encode/decode per family plus the cold-start recovery
-# path), and wal (persisted ingestion per fsync policy — with the bench's
-# own <20% epoch-policy overhead gate — plus WAL-tail replay) sections
-# cannot silently vanish from the bench.
+# path), wal (persisted ingestion per fsync policy — with the bench's
+# own <20% epoch-policy overhead gate — plus WAL-tail replay), and binomial
+# (CSSS's Bin(n, 2^-q) draw by halving vs the shipped bin_pow2, either side
+# of its inversion crossover) sections cannot silently vanish from the
+# bench.
 
 set -eu
 cd "$(dirname "$0")/.."
@@ -32,7 +34,7 @@ cp BENCH_ingest.json "$BASELINE"
 cargo bench -p bd-bench --bench ingest
 
 for section in '"ingest_sharded/' '"ingest_service/' '"hash/' '"hash/simd_' '"merge/' \
-    '"query/' '"serve/' '"service_overload/' '"persist/' '"wal/'; do
+    '"query/' '"serve/' '"service_overload/' '"persist/' '"wal/' '"binomial/'; do
     if ! grep -q "$section" BENCH_ingest.json; then
         echo "bench_compare.sh: $section section missing from BENCH_ingest.json" >&2
         exit 1
