@@ -19,15 +19,15 @@
 use crate::binomial::{bin_half, bin_pow2};
 use bd_hash::RowHashes;
 use bd_stream::{
-    BatchScratch, Mergeable, PointQuery, PointQueryBatch, Sketch, SketchState, SpaceReport,
-    SpaceUsage, StateError, StateReader, StateWriter, Update,
+    BatchScratch, Mergeable, PointQuery, PointQueryBatch, Scratch, Sketch, SketchState,
+    SpaceReport, SpaceUsage, StateError, StateReader, StateWriter, Update,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Reusable batched-ingest scratch: hash plan plus flat row-major bucket /
 /// sign buffers (no sketch state).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct IngestScratch {
     agg: BatchScratch,
     plan: RowHashes,
@@ -73,7 +73,7 @@ pub struct Csss {
     rows: Vec<CsssRow>,
     max_counter: u64,
     rng: SmallRng,
-    scratch: IngestScratch,
+    scratch: Scratch<IngestScratch>,
 }
 
 impl Csss {
@@ -101,7 +101,7 @@ impl Csss {
                 .collect(),
             max_counter: 0,
             rng,
-            scratch: IngestScratch::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -208,7 +208,7 @@ impl Csss {
             signs,
             holds_ingest,
             ..
-        } = scratch;
+        } = &mut **scratch;
         plan.load(agg.iter().map(|&(item, _, _)| item));
         buckets.clear();
         signs.clear();
@@ -280,7 +280,7 @@ impl Csss {
             signs,
             holds_ingest,
             ..
-        } = &mut self.scratch;
+        } = &mut *self.scratch;
         plan.load(items.iter().copied());
         buckets.clear();
         signs.clear();
@@ -318,7 +318,7 @@ impl Csss {
             signs,
             ests,
             ..
-        } = &mut self.scratch;
+        } = &mut *self.scratch;
         let m = plan.len();
         push_row_medians(&self.rows, scale, m, buckets, signs, ests, out);
     }
@@ -576,6 +576,37 @@ mod tests {
     use super::*;
     use bd_stream::gen::BoundedDeletionGen;
     use bd_stream::{FrequencyVector, StreamRunner};
+
+    fn state_bytes(s: &impl SketchState) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        s.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// The clone an epoch cut takes of a warmed sketch carries its counters
+    /// and none of its ingest scratch: it encodes to the original's bytes,
+    /// and the two still encode alike after the same next batch.
+    #[test]
+    fn clones_carry_state_not_scratch() {
+        let stream = BoundedDeletionGen::new(1 << 12, 20_000, 4.0).generate_seeded(5);
+        let (warm, next) = stream.updates.split_at(stream.updates.len() - 1024);
+        let mut c = Csss::new(2, 16, 9, 1 << 10);
+        for chunk in warm.chunks(1024) {
+            c.update_batch(chunk);
+        }
+        assert!(c.level() > 0 && c.scratch.buckets.capacity() > 0);
+        let mut clone = c.clone();
+        let s = &*clone.scratch;
+        assert!(s.agg.signed_mass().is_empty() && s.plan.is_empty() && !s.holds_ingest);
+        assert_eq!(
+            (s.buckets.capacity(), s.signs.capacity(), s.ests.capacity()),
+            (0, 0, 0)
+        );
+        assert_eq!(state_bytes(&clone), state_bytes(&c));
+        c.update_batch(next);
+        clone.update_batch(next);
+        assert_eq!(state_bytes(&clone), state_bytes(&c));
+    }
 
     #[test]
     fn exact_below_budget_on_sparse_input() {

@@ -16,8 +16,8 @@ use crate::csss::Csss;
 use crate::params::Params;
 use bd_sketch::{CandidateSet, MedianL1};
 use bd_stream::{
-    BatchScratch, Mergeable, NormEstimate, PointQuery, PointQueryBatch, Sketch, SketchState,
-    SpaceReport, SpaceUsage, StateError, StateReader, StateWriter, Update,
+    BatchScratch, Mergeable, NormEstimate, PointQuery, PointQueryBatch, Scratch, Sketch,
+    SketchState, SpaceReport, SpaceUsage, StateError, StateReader, StateWriter, Update,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -40,9 +40,9 @@ pub struct AlphaHeavyHitters {
     epsilon: f64,
     universe: u64,
     /// Reusable chunk-aggregation scratch (no sketch state).
-    agg: BatchScratch,
+    agg: Scratch<BatchScratch>,
     /// Reusable per-chunk candidate scores (no sketch state).
-    scores: Vec<f64>,
+    scores: Scratch<Vec<f64>>,
 }
 
 impl AlphaHeavyHitters {
@@ -69,8 +69,8 @@ impl AlphaHeavyHitters {
             norm,
             epsilon: params.epsilon,
             universe: params.n,
-            agg: BatchScratch::default(),
-            scores: Vec::new(),
+            agg: Scratch::default(),
+            scores: Scratch::default(),
         }
     }
 
@@ -278,6 +278,29 @@ mod tests {
     use super::*;
     use bd_stream::gen::BoundedDeletionGen;
     use bd_stream::{FrequencyVector, StreamRunner};
+
+    /// Every epoch cut clones each worker's sketch into the snapshot it
+    /// publishes. The clone of a warmed sketch carries the state and none
+    /// of the ingest scratch (CSSS's and the candidate set's are pinned
+    /// beside their types): it encodes to the original's bytes, and the
+    /// two still encode alike after the same next batch.
+    #[test]
+    fn clones_carry_state_not_scratch() {
+        let stream = BoundedDeletionGen::new(1 << 16, 60_000, 4.0).generate_seeded(9);
+        let (warm, next) = stream.updates.split_at(stream.updates.len() - 4096);
+        let mut hh = AlphaHeavyHitters::new_strict(4, &Params::practical(1 << 16, 0.1, 4.0));
+        for chunk in warm.chunks(4096) {
+            hh.update_batch(chunk);
+        }
+        assert!(hh.scores.capacity() > 0 && !hh.agg.signed_mass().is_empty());
+        let mut clone = hh.clone();
+        assert!(clone.agg.signed_mass().is_empty());
+        assert_eq!(clone.scores.capacity(), 0);
+        assert_eq!(state_bytes(&clone), state_bytes(&hh));
+        hh.update_batch(next);
+        clone.update_batch(next);
+        assert_eq!(state_bytes(&clone), state_bytes(&hh));
+    }
 
     fn check_hh(strict: bool, alpha: f64, seed: u64) -> (usize, usize) {
         let eps = 0.05;

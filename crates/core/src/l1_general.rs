@@ -15,13 +15,13 @@
 use crate::binomial::{bin_half, bin_pow2};
 use crate::params::Params;
 use bd_hash::RowHashes;
-use bd_stream::{BatchScratch, NormEstimate, Sketch, SpaceReport, SpaceUsage, Update};
+use bd_stream::{BatchScratch, NormEstimate, Scratch, Sketch, SpaceReport, SpaceUsage, Update};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Reusable batched-ingest scratch: aggregation table, hash plan, and the
 /// per-row Cauchy-entry buffer (no sketch state).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct IngestScratch {
     agg: BatchScratch,
     plan: RowHashes,
@@ -81,7 +81,7 @@ pub struct AlphaL1General {
     budget: u64,
     mass: u64,
     rng: SmallRng,
-    scratch: IngestScratch,
+    scratch: Scratch<IngestScratch>,
 }
 
 impl AlphaL1General {
@@ -111,7 +111,7 @@ impl AlphaL1General {
             budget: budget.max(256),
             mass: 0,
             rng,
-            scratch: IngestScratch::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -191,7 +191,7 @@ impl Sketch for AlphaL1General {
             rng,
             scratch,
         } = self;
-        let IngestScratch { agg, plan, entries } = scratch;
+        let IngestScratch { agg, plan, entries } = &mut **scratch;
         let agg = agg.aggregate_signed_mass(batch);
         if agg.is_empty() {
             return;

@@ -6,7 +6,7 @@
 //! re-estimates the touched item and the set evicts its weakest member when
 //! over capacity. The set's size is charged to the reported space.
 
-use bd_stream::{SketchState, StateError, StateReader, StateWriter};
+use bd_stream::{Scratch, SketchState, StateError, StateReader, StateWriter};
 use std::collections::HashSet;
 
 /// A capped set of candidate items, evicted by a caller-supplied score.
@@ -16,10 +16,10 @@ pub struct CandidateSet {
     items: HashSet<u64>,
     /// Reusable prune-pass buffers (no semantic state): scored members,
     /// with their chunk position for [`CandidateSet::offer_chunk`].
-    live: Vec<(u64, f64, usize)>,
-    held: Vec<bool>,
-    outside: Vec<u64>,
-    scores: Vec<f64>,
+    live: Scratch<Vec<(u64, f64, usize)>>,
+    held: Scratch<Vec<bool>>,
+    outside: Scratch<Vec<u64>>,
+    scores: Scratch<Vec<f64>>,
 }
 
 /// `live` entries that are not chunk items.
@@ -225,6 +225,38 @@ impl SketchState for CandidateSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn state_bytes(s: &CandidateSet) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        s.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// A clone carries the members, not the prune-pass buffers.
+    #[test]
+    fn clones_carry_the_set_not_the_prune_buffers() {
+        let mut c = CandidateSet::new(3);
+        let score = |i: u64| i as f64;
+        for i in 1..=20u64 {
+            c.offer(i, score);
+        }
+        let chunk = [30u64, 31, 32, 33, 34, 35, 36];
+        let scores: Vec<f64> = chunk.iter().map(|&i| score(i)).collect();
+        c.offer_chunk(
+            chunk,
+            &scores,
+            |i| chunk.iter().position(|&c| c == i),
+            |items, out| out.extend(items.iter().map(|&i| score(i))),
+        );
+        assert!(c.live.capacity() > 0 && c.held.capacity() > 0);
+        let clone = c.clone();
+        let buffers = clone.live.capacity()
+            + clone.held.capacity()
+            + clone.outside.capacity()
+            + clone.scores.capacity();
+        assert_eq!(buffers, 0);
+        assert_eq!(state_bytes(&clone), state_bytes(&c));
+    }
 
     #[test]
     fn keeps_strongest_items() {

@@ -8,14 +8,14 @@
 
 use bd_hash::RowHashes;
 use bd_stream::{
-    BatchScratch, MaxMag, Mergeable, PointQuery, PointQueryBatch, Sketch, SketchState, SpaceReport,
-    SpaceUsage, StateError, StateReader, StateWriter, Update,
+    BatchScratch, MaxMag, Mergeable, PointQuery, PointQueryBatch, Scratch, Sketch, SketchState,
+    SpaceReport, SpaceUsage, StateError, StateReader, StateWriter, Update,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Reusable batched-ingest scratch (no sketch state).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct IngestScratch {
     agg: BatchScratch,
     plan: RowHashes,
@@ -31,7 +31,7 @@ pub struct CountMin {
     table: Vec<i64>,
     hashes: Vec<bd_hash::KWiseHash>,
     max_mag: MaxMag,
-    scratch: IngestScratch,
+    scratch: Scratch<IngestScratch>,
 }
 
 impl CountMin {
@@ -49,7 +49,7 @@ impl CountMin {
                 .map(|_| bd_hash::KWiseHash::pairwise(&mut rng, width as u64))
                 .collect(),
             max_mag: MaxMag::default(),
-            scratch: IngestScratch::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -119,7 +119,7 @@ impl Sketch for CountMin {
             scratch,
             ..
         } = self;
-        let IngestScratch { agg, plan, buckets } = scratch;
+        let IngestScratch { agg, plan, buckets } = &mut **scratch;
         let agg = agg.aggregate_net(batch);
         let live = || agg.iter().filter(|&&(_, net)| net != 0);
         plan.load(live().map(|&(item, _)| item));

@@ -11,15 +11,15 @@
 use crate::weight::{median_f64, Weight};
 use bd_hash::RowHashes;
 use bd_stream::{
-    BatchScratch, MaxMag, Mergeable, PointQuery, PointQueryBatch, Sketch, SketchState, SpaceReport,
-    SpaceUsage, StateError, StateReader, StateWriter, Update,
+    BatchScratch, MaxMag, Mergeable, PointQuery, PointQueryBatch, Scratch, Sketch, SketchState,
+    SpaceReport, SpaceUsage, StateError, StateReader, StateWriter, Update,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Reusable batched-ingest scratch: aggregation table, hash plan, and
 /// per-row output buffers. Pure scratch — carries no sketch state.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct IngestScratch {
     agg: BatchScratch,
     plan: RowHashes,
@@ -38,7 +38,7 @@ pub struct CountSketch<W: Weight = i64> {
     bucket_hashes: Vec<bd_hash::KWiseHash>,
     sign_hashes: Vec<bd_hash::SignHash>,
     max_mag: MaxMag,
-    scratch: IngestScratch,
+    scratch: Scratch<IngestScratch>,
 }
 
 impl<W: Weight> CountSketch<W> {
@@ -60,7 +60,7 @@ impl<W: Weight> CountSketch<W> {
                 .map(|_| bd_hash::SignHash::new(&mut rng))
                 .collect(),
             max_mag: MaxMag::default(),
-            scratch: IngestScratch::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -171,7 +171,7 @@ impl<W: Weight> Sketch for CountSketch<W> {
             plan,
             buckets,
             signs,
-        } = scratch;
+        } = &mut **scratch;
         let agg = agg.aggregate_net(batch);
         let live = || agg.iter().filter(|&&(_, net)| net != 0);
         plan.load(live().map(|&(item, _)| item));

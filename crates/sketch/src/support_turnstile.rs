@@ -10,13 +10,13 @@
 
 use crate::sparse_recovery::{Recovery, SparseRecovery};
 use bd_hash::RowHashes;
-use bd_stream::{BatchScratch, Sketch, SpaceReport, SpaceUsage, Update};
+use bd_stream::{BatchScratch, Scratch, Sketch, SpaceReport, SpaceUsage, Update};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 /// Reusable batched-ingest scratch (no sketch state).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct IngestScratch {
     agg: BatchScratch,
     plan: RowHashes,
@@ -30,7 +30,7 @@ pub struct SupportSamplerTurnstile {
     levels: Vec<SparseRecovery>,
     log_n: usize,
     k: usize,
-    scratch: IngestScratch,
+    scratch: Scratch<IngestScratch>,
 }
 
 impl SupportSamplerTurnstile {
@@ -47,7 +47,7 @@ impl SupportSamplerTurnstile {
                 .collect(),
             log_n,
             k,
-            scratch: IngestScratch::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -111,7 +111,7 @@ impl Sketch for SupportSamplerTurnstile {
             scratch,
             ..
         } = self;
-        let IngestScratch { agg, plan, hashes } = scratch;
+        let IngestScratch { agg, plan, hashes } = &mut **scratch;
         let agg = agg.aggregate_net(batch);
         let live = || agg.iter().filter(|&&(_, net)| net != 0);
         plan.load(live().map(|&(item, _)| item));

@@ -99,12 +99,10 @@ impl Disk {
         }
     }
 
-    /// Open `path` for writing and cut it to `len` bytes (`set_len`).
-    pub(crate) fn truncate(&self, path: &Path, len: u64) -> Result<File, PersistError> {
+    /// Cut an open file to `len` bytes (`set_len`).
+    pub(crate) fn set_len(&self, file: &File, len: u64) -> Result<(), PersistError> {
         self.step(DiskOp::SetLen, 0)?;
-        let file = fs::OpenOptions::new().write(true).open(path)?;
-        file.set_len(len)?;
-        Ok(file)
+        Ok(file.set_len(len)?)
     }
 }
 

@@ -92,7 +92,7 @@ pub use service::{
 };
 pub use sketch::{
     aggregate_net, aggregate_signed_mass, BatchScratch, Mergeable, NormEstimate, PointQuery,
-    PointQueryBatch, SampleOutcome, SampleQuery, Sketch, SupportQuery,
+    PointQueryBatch, SampleOutcome, SampleQuery, Scratch, Sketch, SupportQuery,
 };
 pub use space::{MaxMag, SpaceReport, SpaceUsage};
 pub use spec::{Regime, SketchFamily, SketchSpec, SpecError};

@@ -544,7 +544,7 @@ pub struct StreamService {
     /// The write-ahead log (open iff a store is attached and
     /// [`ServiceConfig::wal`] is not `off`): one record per dispatched
     /// cell, appended *after* dispatch, segments rolled at each cut and
-    /// deleted once a persisted snapshot covers them. The dispatch thread
+    /// retired once a persisted snapshot covers them. The dispatch thread
     /// writes it inline under every policy (the policy only picks when
     /// the writer fsyncs), so a failed append fails the
     /// [`StreamService::ingest`] call that dispatched the cell.
@@ -799,7 +799,7 @@ impl StreamService {
             // Old segments stay authoritative until a durable snapshot
             // covers them; prime them so the next truncation pass (or the
             // one right here, for segments the replayed cuts already
-            // covered) deletes them.
+            // covered) retires them.
             wal.prime_sealed(sealed);
             wal.truncate_through(persisted)?;
         }

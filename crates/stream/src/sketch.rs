@@ -186,6 +186,34 @@ pub fn aggregate_signed_mass(batch: &[Update]) -> Vec<(Item, u64, u64)> {
     order
 }
 
+/// A reusable buffer that holds no sketch state: ingest keeps it warm
+/// across calls, and a clone starts empty. Sketches derive `Clone`, and
+/// every epoch cut clones each worker's sketch into the snapshot it
+/// publishes; wrapping each scratch field in `Scratch` keeps those clones
+/// to the state alone. Dereferences to the buffer.
+#[derive(Debug, Default)]
+pub struct Scratch<T>(T);
+
+impl<T: Default> Clone for Scratch<T> {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+impl<T> std::ops::Deref for Scratch<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for Scratch<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
 /// Reusable, allocation-free chunk aggregation — the scratch the batched
 /// `update_batch` hot paths thread through their steady state.
 ///
@@ -308,6 +336,14 @@ impl BatchScratch {
 mod tests {
     use super::*;
     use crate::space::SpaceReport;
+
+    #[test]
+    fn scratch_clones_empty() {
+        let mut s: Scratch<Vec<u64>> = Scratch::default();
+        s.extend(0..100);
+        assert_eq!(s.len(), 100);
+        assert_eq!(s.clone().capacity(), 0);
+    }
 
     /// A toy exact sketch for exercising the trait machinery.
     #[derive(Default)]

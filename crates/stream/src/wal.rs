@@ -41,6 +41,31 @@
 //! a typed [`WalTruncation`] — never a panic, never a partial record
 //! handed to the caller, and never more than one frame in memory.
 //!
+//! ## Segment recycling
+//!
+//! A cut retires the sealed segments its durable snapshot covers, but the
+//! [`WalWriter`] keeps the first of them as a *spare* (`spare.bdwal`,
+//! outside `wal-*.bdwal`, so no segment listing sees it), and its next
+//! roll renames the spare to the new segment's name and writes over it in
+//! place. A cut therefore neither frees a segment's blocks nor allocates
+//! new ones; on a filesystem that discards freed blocks, freeing them is
+//! what a cut used to wait for. A directory holds the live segment, the
+//! sealed segments no snapshot covers yet, and at most one spare.
+//!
+//! A recycled segment holds, past its own frames, the frames of the
+//! segment the file held before: *leftovers*. Once sealed, a segment is
+//! cut to its own frames ([`WalWriter::roll`]); the live segment is not,
+//! so the reader tells leftovers apart by the offered position each record
+//! carries. Every frame in a spare ends at or before the durable snapshot
+//! that retired it, which is at or before the recycled segment's start, so
+//! an intact frame whose record starts before the previous record's end
+//! (or before the header's `start_offered`) can only be a leftover, and it
+//! ends the segment's records cleanly ([`SegmentReader`]). The record
+//! checksum covers the body alone and carries no segment stamp, so an
+//! aligned leftover frame passes it; the offered chain is what the rule
+//! rests on. A writer only recycles a spare it retired itself: one found
+//! on disk may come from another run's stream.
+//!
 //! ## Fsync contract
 //!
 //! The `wal=` knob in the [`ServiceConfig`](crate::service::ServiceConfig)
@@ -62,19 +87,20 @@
 //!   under `batch`.
 //!
 //! Every durability point fsyncs the file *and the parent directory*, so
-//! creates/unlinks themselves survive power loss. Under `batch` that is
-//! segment creation, every append, roll, and truncation; under `epoch`
-//! the creation fsyncs are deferred to the next seal (a crash in the
-//! window leaves an unreadable final segment — the "crash during
-//! creation" case recovery deletes), keeping the per-cut cost at one
-//! file sync plus one directory sync (`DESIGN.md §14` states the full
-//! durability matrix and the op sequence of each step).
+//! creates, renames and unlinks themselves survive power loss. Under
+//! `batch` that is a new segment (created or recycled), every append,
+//! roll, and truncation; under `epoch` the new segment's fsyncs are
+//! deferred to the next seal (a crash in the window leaves an unreadable
+//! final segment — the "crash during creation" case recovery deletes — or
+//! one still holding the spare's covered records), keeping the per-cut
+//! cost at one file sync plus one directory sync (`DESIGN.md §14` states
+//! the full durability matrix and the op sequence of each step).
 //!
 //! The writer performs each of these steps — create, write, `fdatasync`,
-//! `fsync`, directory sync, unlink, and [`truncate_segment`]'s `set_len` —
-//! through the crate's durability layer (`disk.rs`), which shares the
-//! snapshot store's crash switch ([`crate::fault`]) when the service opens
-//! the log.
+//! `fsync`, directory sync, rename, unlink, and the `set_len` of a seal's
+//! trim and of [`truncate_segment`] — through the crate's durability layer
+//! (`disk.rs`), which shares the snapshot store's crash switch
+//! ([`crate::fault`]) when the service opens the log.
 
 use crate::disk::Disk;
 use crate::persist::{crc32c, numbered_files, open, read_envelope, seal, PersistError};
@@ -279,7 +305,7 @@ pub struct SegmentScan {
     pub truncation: Option<WalTruncation>,
 }
 
-/// A sealed (no longer written) segment the writer still owns: deletable
+/// A sealed (no longer written) segment the writer still owns: retired
 /// once a persisted snapshot covers `end_offered`.
 #[derive(Clone, Debug)]
 pub struct SealedSegment {
@@ -406,6 +432,12 @@ fn decode_record_body(body: &[u8]) -> Result<WalRecord, ()> {
 /// against the bytes left in the file before anything is allocated for
 /// it, so the reader holds one frame however long the segment is.
 ///
+/// The records also end, cleanly, at the first intact frame whose record
+/// starts before the previous record's end (or before the header's
+/// `start_offered`): that frame is a leftover of the segment the file held
+/// before the writer recycled it ([`WalWriter::roll`]), never a record of
+/// this one.
+///
 /// Recovery dispatches each record as it is yielded; [`read_segment`]
 /// collects them.
 pub struct SegmentReader {
@@ -415,6 +447,9 @@ pub struct SegmentReader {
     len: u64,
     /// Offset of the next frame: the end of the intact prefix so far.
     pos: u64,
+    /// The offered position the next record may not start before: the
+    /// previous record's end, or the header's `start_offered`.
+    floor: u64,
     /// The current frame's body and checksum, reused across frames.
     frame: Vec<u8>,
     truncation: Option<WalTruncation>,
@@ -464,6 +499,7 @@ impl SegmentReader {
         };
         hr.finish()?;
         Ok(SegmentReader {
+            floor: header.start_offered,
             header,
             file,
             len,
@@ -486,10 +522,10 @@ impl SegmentReader {
         self.truncation
     }
 
-    /// Read the frame at `pos` and advance past it: the record, or what is
-    /// wrong with the frame. A file that ends early is a torn frame; any
+    /// Read the frame at `pos`: the record and the frame's length, or what
+    /// is wrong with the frame. A file that ends early is a torn frame; any
     /// other read failure is the error.
-    fn read_frame(&mut self) -> io::Result<Result<WalRecord, WalDamage>> {
+    fn read_frame(&mut self) -> io::Result<Result<(WalRecord, u64), WalDamage>> {
         let left = self.len - self.pos;
         let mut len_bytes = [0u8; 4];
         if left < 4 || !fill(&mut self.file, &mut len_bytes)? {
@@ -520,8 +556,7 @@ impl SegmentReader {
         let Ok(rec) = decode_record_body(body) else {
             return Ok(Err(WalDamage::Malformed));
         };
-        self.pos += 4 + need as u64;
-        Ok(Ok(rec))
+        Ok(Ok((rec, 4 + need as u64)))
     }
 }
 
@@ -534,7 +569,17 @@ impl Iterator for SegmentReader {
             return None;
         }
         match self.read_frame() {
-            Ok(Ok(rec)) => Some(Ok(rec)),
+            Ok(Ok((rec, frame_len))) if rec.offered >= self.floor => {
+                self.pos += frame_len;
+                self.floor = rec.end_offered();
+                Some(Ok(rec))
+            }
+            // A leftover of the recycled file: a clean end, nothing to
+            // repair.
+            Ok(Ok(_)) => {
+                self.done = true;
+                None
+            }
             Ok(Err(damage)) => {
                 self.done = true;
                 self.truncation = Some(WalTruncation {
@@ -583,7 +628,8 @@ pub fn truncate_segment(path: impl AsRef<Path>, valid_len: u64) -> Result<(), Pe
 
 /// [`truncate_segment`] through `disk`.
 pub(crate) fn repair_segment(disk: &Disk, path: &Path, valid_len: u64) -> Result<(), PersistError> {
-    let file = disk.truncate(path, valid_len)?;
+    let file = open_in_place(path)?;
+    disk.set_len(&file, valid_len)?;
     disk.fsync(&file)?;
     if let Some(dir) = path.parent() {
         disk.sync_dir(dir)?;
@@ -591,33 +637,63 @@ pub(crate) fn repair_segment(disk: &Disk, path: &Path, valid_len: u64) -> Result
     Ok(())
 }
 
-/// Create segment `seq` in `dir` and write its `header`. With `durable`,
-/// the header and the directory entry naming the file are fsynced before
-/// returning — required under [`WalPolicy::Batch`], whose first append
-/// may be acknowledged immediately after. Under [`WalPolicy::Epoch`]
-/// creation is *not* synced: the next seal ([`WalWriter::roll`]) covers
-/// both, and a crash in the window leaves at worst an unreadable final
-/// segment — exactly the "crash during creation" case recovery already
-/// deletes.
-fn create_segment(
+/// Open an existing file for writing from its first byte, keeping its
+/// contents. Nothing on disk changes, so the durability layer does not
+/// count it.
+fn open_in_place(path: &Path) -> io::Result<fs::File> {
+    fs::OpenOptions::new().write(true).open(path)
+}
+
+/// The name a retired segment waits under until the writer's next roll
+/// overwrites it. It lies outside `wal-*.bdwal`, so [`wal_segments`] and
+/// recovery never list it.
+const SPARE_FILE: &str = "spare.bdwal";
+
+/// Make segment `seq` in `dir` and write its `header` at the file's start.
+/// With `recycle`, the segment is the writer's spare, renamed to the
+/// segment's name and overwritten in place, so the appends that follow
+/// reuse its blocks; otherwise the file is created. Returns the file, its
+/// path, and the length it had (0 when created).
+///
+/// With `durable`, the header and the directory entry naming the file are
+/// fsynced before returning — required under [`WalPolicy::Batch`], whose
+/// first append may be acknowledged immediately after. Under
+/// [`WalPolicy::Epoch`] neither is synced: the next seal
+/// ([`WalWriter::roll`]) covers both, and a crash in the window leaves at
+/// worst an unreadable final segment — exactly the "crash during creation"
+/// case recovery already deletes — or a final segment whose header and
+/// records are still the spare's, all covered by a durable snapshot.
+fn open_segment_file(
     disk: &Disk,
     dir: &Path,
     seq: u64,
     header: &[u8],
+    recycle: bool,
     durable: bool,
-) -> Result<(fs::File, PathBuf), PersistError> {
+) -> Result<(fs::File, PathBuf, u64), PersistError> {
     let path = dir.join(segment_file_name(seq));
-    let mut file = disk.create(&path)?;
+    let (mut file, old_len) = if recycle {
+        disk.rename(&dir.join(SPARE_FILE), &path)?;
+        let file = open_in_place(&path)?;
+        let len = file.metadata()?.len();
+        (file, len)
+    } else {
+        (disk.create(&path)?, 0)
+    };
     disk.write(&mut file, header)?;
     if durable {
         disk.fsync(&file)?;
         disk.sync_dir(dir)?;
     }
-    Ok((file, path))
+    Ok((file, path, old_len))
 }
 
 /// The append side of the log: one active segment, rolled at each epoch
-/// cut, sealed segments deleted once a persisted snapshot covers them.
+/// cut; a sealed segment is retired once a persisted snapshot covers it.
+/// The first segment a [`WalWriter::truncate_through`] call retires becomes
+/// the writer's *spare*, and the next roll overwrites it in place instead
+/// of allocating a new file, so a cut neither frees nor allocates a
+/// segment's blocks.
 ///
 /// A writer only exists for [`WalPolicy::Batch`] / [`WalPolicy::Epoch`]
 /// (the service never constructs one under `off`), and lives in the same
@@ -632,7 +708,16 @@ pub struct WalWriter {
     end_offered: u64,
     file: fs::File,
     path: PathBuf,
+    /// Bytes written to the active segment: its header and its frames.
+    written: u64,
+    /// The active segment's length when it was recycled (0 when created).
+    /// Bytes between `written` and it are leftovers of an older segment.
+    old_len: u64,
     sealed: Vec<SealedSegment>,
+    /// Whether the spare in `dir` is a segment this writer retired. A
+    /// spare found on disk may hold another run's records, so it is never
+    /// recycled, only replaced.
+    spare: bool,
     bytes: u64,
     scratch: Vec<u8>,
 }
@@ -677,7 +762,8 @@ impl WalWriter {
     ) -> Result<Self, PersistError> {
         fs::create_dir_all(dir)?;
         let header = encode_header(spec, config, seq, start_offered);
-        let (file, path) = create_segment(&disk, dir, seq, &header, policy == WalPolicy::Batch)?;
+        let durable = policy == WalPolicy::Batch;
+        let (file, path, _) = open_segment_file(&disk, dir, seq, &header, false, durable)?;
         Ok(WalWriter {
             disk,
             dir: dir.to_path_buf(),
@@ -688,20 +774,29 @@ impl WalWriter {
             end_offered: start_offered,
             file,
             path,
+            written: header.len() as u64,
+            old_len: 0,
             sealed: Vec::new(),
+            spare: false,
             bytes: 0,
             scratch: Vec::new(),
         })
     }
 
+    /// Make segment `seq`, starting at `start_offered`, the active one:
+    /// the spare recycled when the writer holds one, a new file otherwise.
     fn open_segment(&mut self, seq: u64, start_offered: u64) -> Result<(), PersistError> {
         let header = encode_header(&self.spec, &self.config, seq, start_offered);
+        let recycle = std::mem::take(&mut self.spare);
         let durable = self.policy == WalPolicy::Batch;
-        let (file, path) = create_segment(&self.disk, &self.dir, seq, &header, durable)?;
+        let (file, path, old_len) =
+            open_segment_file(&self.disk, &self.dir, seq, &header, recycle, durable)?;
         self.seq = seq;
         self.end_offered = start_offered;
         self.file = file;
         self.path = path;
+        self.written = header.len() as u64;
+        self.old_len = old_len;
         Ok(())
     }
 
@@ -711,7 +806,7 @@ impl WalWriter {
     }
 
     /// Register segments that already existed before this writer opened
-    /// (recovery): they are deletable by [`WalWriter::truncate_through`]
+    /// (recovery): they are retired by [`WalWriter::truncate_through`]
     /// once a persisted snapshot covers their `end_offered`.
     pub fn prime_sealed(&mut self, sealed: Vec<SealedSegment>) {
         self.sealed.extend(sealed);
@@ -735,16 +830,26 @@ impl WalWriter {
         }
         self.end_offered = rec.end_offered();
         let frame_len = self.scratch.len() as u64;
+        self.written += frame_len;
         self.bytes += frame_len;
         Ok(frame_len)
     }
 
     /// Roll the log at an epoch cut: sync and seal the active segment
     /// (its records are now covered by the cut whose snapshot save is in
-    /// flight) and open the next one starting at `offered`. Under
+    /// flight) and open the next one starting at `offered` — in the spare,
+    /// when [`WalWriter::truncate_through`] left one. Under
     /// [`WalPolicy::Epoch`] the seal also fsyncs the directory — segment
     /// creation deferred the entry's durability to exactly this point.
+    ///
+    /// A recycled segment that wrote fewer bytes than the file held is cut
+    /// to its own frames before the sync, so a sealed segment holds exactly
+    /// its records: a leftover region that does not line up with its
+    /// frames would read as damage and end recovery's replayable chain.
     pub fn roll(&mut self, offered: u64) -> Result<(), PersistError> {
+        if self.written < self.old_len {
+            self.disk.set_len(&self.file, self.written)?;
+        }
         // `fdatasync`, not `fsync`: replay needs the frames and the file
         // size (fdatasync flushes both), not timestamps — skipping the
         // pure-metadata journal commit at every seal.
@@ -760,21 +865,33 @@ impl WalWriter {
         self.open_segment(self.seq + 1, offered)
     }
 
-    /// Delete every sealed segment whose records are entirely covered by
+    /// Retire every sealed segment whose records are entirely covered by
     /// a durable snapshot at offered position `offered`, then fsync the
-    /// directory so the unlinks survive power loss. The active segment is
-    /// never deleted, and a segment already gone counts as deleted.
+    /// directory so the retirements survive power loss. Returns how many
+    /// segments were retired. The active segment is never retired.
+    ///
+    /// The first covered segment is renamed to the spare, which the next
+    /// [`WalWriter::roll`] overwrites instead of allocating a new file; a
+    /// spare left on disk by an earlier writer is replaced, and only then
+    /// freed. Every further covered segment is unlinked (one already gone
+    /// counts as unlinked), so a directory holds the live segment, the
+    /// sealed segments no snapshot covers yet, and at most one spare.
     pub fn truncate_through(&mut self, offered: u64) -> Result<usize, PersistError> {
-        let mut deleted = 0;
+        let mut retired = 0;
         for seg in self.sealed.iter().filter(|seg| seg.end_offered <= offered) {
-            self.disk.unlink(&seg.path)?;
-            deleted += 1;
+            if self.spare {
+                self.disk.unlink(&seg.path)?;
+            } else {
+                self.disk.rename(&seg.path, &self.dir.join(SPARE_FILE))?;
+                self.spare = true;
+            }
+            retired += 1;
         }
         self.sealed.retain(|seg| seg.end_offered > offered);
-        if deleted > 0 {
+        if retired > 0 {
             self.disk.sync_dir(&self.dir)?;
         }
-        Ok(deleted)
+        Ok(retired)
     }
 }
 
@@ -871,6 +988,142 @@ mod tests {
         assert_eq!(w.truncate_through(10).unwrap(), 0);
         assert_eq!(w.truncate_through(20).unwrap(), 1);
         assert_eq!(wal_segments(&dir).unwrap().len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A log whose first segment holds `lens`-update records from offered
+    /// position 0, rolled at their end and retired, so the writer holds it
+    /// as its spare; the live segment (1) holds nothing yet.
+    fn writer_with_spare(dir: &Path, policy: WalPolicy, lens: &[u64]) -> WalWriter {
+        let mut w = WalWriter::open(dir, "spec", "cfg", policy, 0, 0).unwrap();
+        let mut at = 0;
+        for &n in lens {
+            w.append(&batch(at, n)).unwrap();
+            at += n;
+        }
+        w.roll(at).unwrap();
+        assert_eq!(w.truncate_through(at).unwrap(), 1);
+        assert!(w.spare && dir.join(SPARE_FILE).exists());
+        w
+    }
+
+    /// Retiring a covered segment keeps its file as the spare, and the next
+    /// roll renames that file to the new segment's name and writes over it:
+    /// no file is created, and the new segment is the retired one's inode.
+    /// No segment listing sees the spare.
+    #[cfg(unix)]
+    #[test]
+    fn retire_then_roll_reuses_the_file() {
+        use crate::disk::fault::{DiskOp, FaultInjector};
+        use std::os::unix::fs::MetadataExt;
+        for policy in [WalPolicy::Batch, WalPolicy::Epoch] {
+            let dir = tmp(&format!("recycle-{policy}"));
+            let ino = |path: &Path| fs::metadata(path).unwrap().ino();
+            let mut w = WalWriter::open(&dir, "s", "c", policy, 0, 0).unwrap();
+            w.append(&batch(0, 10)).unwrap();
+            w.roll(10).unwrap();
+            let retired = ino(&dir.join(segment_file_name(0)));
+            assert_eq!(w.truncate_through(10).unwrap(), 1);
+            assert_eq!(ino(&dir.join(SPARE_FILE)), retired);
+            let listed = wal_segments(&dir).unwrap();
+            assert_eq!(listed.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [1]);
+
+            let log = FaultInjector::recorder();
+            w.disk.arm(Arc::clone(&log));
+            w.append(&batch(10, 4)).unwrap();
+            w.roll(14).unwrap();
+            // An append, the seal, then the spare renamed into place and
+            // its header written: no `Create`.
+            let durable = policy == WalPolicy::Batch;
+            let pick = |on: bool, ops: &[DiskOp]| if on { ops.to_vec() } else { Vec::new() };
+            let want = [
+                vec![DiskOp::Write],
+                pick(durable, &[DiskOp::SyncData]),
+                vec![DiskOp::SyncData],
+                pick(!durable, &[DiskOp::SyncDir]),
+                vec![DiskOp::Rename, DiskOp::Write],
+                pick(durable, &[DiskOp::SyncAll, DiskOp::SyncDir]),
+            ]
+            .concat();
+            assert_eq!(log.ops(), want, "wal={policy}");
+            assert_eq!(ino(&dir.join(segment_file_name(2))), retired);
+            assert!(!dir.join(SPARE_FILE).exists());
+            // The spare is spent: a second covered segment is renamed into
+            // its place, a third one is unlinked.
+            w.roll(14).unwrap();
+            assert_eq!(w.truncate_through(14).unwrap(), 2);
+            assert!(dir.join(SPARE_FILE).exists());
+            let listed = wal_segments(&dir).unwrap();
+            assert_eq!(listed.iter().map(|(s, _)| *s).collect::<Vec<_>>(), [3]);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A recycled segment that ends short of the file it overwrote is cut
+    /// to its own frames when sealed, and then scans clean with exactly its
+    /// records. The old frames are longer than the new one, so without the
+    /// cut the region after it would not line up with a frame and would
+    /// read as damage.
+    #[test]
+    fn a_recycled_segment_sealed_short_scans_clean() {
+        use crate::disk::fault::{DiskOp, FaultInjector};
+        let dir = tmp("recycle-short");
+        let mut w = writer_with_spare(&dir, WalPolicy::Epoch, &[9, 7, 5]);
+        let old_len = fs::metadata(dir.join(SPARE_FILE)).unwrap().len();
+        w.append(&batch(21, 2)).unwrap();
+        w.roll(23).unwrap();
+        let own = batch(23, 3);
+        w.append(&own).unwrap();
+        let log = FaultInjector::recorder();
+        w.disk.arm(Arc::clone(&log));
+        w.roll(26).unwrap();
+        assert_eq!(
+            log.ops()[..3],
+            [DiskOp::SetLen, DiskOp::SyncData, DiskOp::SyncDir]
+        );
+        let path = dir.join(segment_file_name(2));
+        let header = encode_header("spec", "cfg", 2, 23).len() as u64;
+        let len = fs::metadata(&path).unwrap().len();
+        assert!(len < old_len);
+        assert_eq!(len, header + encode_record(&own).len() as u64);
+        let scan = read_segment(&path).unwrap();
+        assert_eq!(scan.records, [own]);
+        assert!(scan.truncation.is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A recycled live segment (never sealed, as after a crash) still holds
+    /// the old segment's frames past its own, aligned with them and each
+    /// passing its checksum. The reader yields only the segment's own
+    /// records, reports no truncation, and stops at the first leftover
+    /// frame without reading the rest.
+    #[test]
+    fn a_recycled_live_segment_yields_only_its_own_records() {
+        let dir = tmp("recycle-live");
+        let mut w = writer_with_spare(&dir, WalPolicy::Epoch, &[6, 6, 6, 6]);
+        w.append(&batch(24, 6)).unwrap();
+        w.roll(30).unwrap();
+        let own = batch(30, 6);
+        w.append(&own).unwrap();
+        drop(w);
+        let path = dir.join(segment_file_name(2));
+        let frame = encode_record(&own).len() as u64;
+        let header = encode_header("spec", "cfg", 2, 30).len() as u64;
+        assert_eq!(fs::metadata(&path).unwrap().len(), header + 4 * frame);
+
+        let mut reader = SegmentReader::open(&path).unwrap();
+        let got = reader.by_ref().collect::<Result<Vec<_>, _>>().unwrap();
+        assert_eq!(got, [own]);
+        assert_eq!(reader.truncation(), None);
+        assert_eq!(reader.pos, header + frame);
+        use std::io::Seek;
+        assert_eq!(reader.file.stream_position().unwrap(), header + 2 * frame);
+        // A header-only recycled segment ends at its first leftover too.
+        let mut w = writer_with_spare(&dir.join("empty"), WalPolicy::Epoch, &[6, 6]);
+        w.roll(12).unwrap();
+        drop(w);
+        let scan = read_segment(dir.join("empty").join(segment_file_name(2))).unwrap();
+        assert!(scan.records.is_empty() && scan.truncation.is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -4,8 +4,8 @@
 # an `epoch`-policy write-ahead log, drive it with `sketchctl loadgen`
 # (concurrent readers, batched ≡ scalar verification, graceful Shutdown),
 # check what the clean shutdown left in the store, then start a second
-# server with `--recover` from that same store and drive it the same way.
-# Every server and loadgen process must exit 0.
+# server with `--recover` from that same store, drive it the same way, and
+# check the store again. Every server and loadgen process must exit 0.
 #
 # Usage: scripts/serve_smoke.sh [readers] [requests]
 #   readers:  concurrent loadgen connections (default 4)
@@ -74,23 +74,30 @@ serve_and_drive() {
     fi
 }
 
+# A clean shutdown leaves the newest two snapshots (`retain=2`), the live
+# log segment, and at most one spare: the final cut retires every sealed
+# segment, keeping one file for the next segment to overwrite. A leaked
+# segment or spare fails here.
+check_store() {
+    SNAPSHOTS="$(find "$STORE" -maxdepth 1 -name 'epoch-*.bdsnap' | wc -l)"
+    SEGMENTS="$(find "$STORE" -maxdepth 1 -name 'wal-*.bdwal' | wc -l)"
+    SPARES="$(find "$STORE" -maxdepth 1 -name '*.bdwal' ! -name 'wal-*.bdwal' | wc -l)"
+    if [ "$SNAPSHOTS" -ne 2 ] || [ "$SEGMENTS" -ne 1 ] || [ "$SPARES" -gt 1 ]; then
+        echo "serve_smoke.sh: store holds $SNAPSHOTS snapshot(s), $SEGMENTS" \
+            "log segment(s) and $SPARES spare(s); want 2, 1 and at most 1:" >&2
+        ls -l "$STORE" >&2
+        exit 1
+    fi
+}
+
 serve_and_drive
 FIRST_VERIFIED="$VERIFIED"
-
-# The clean shutdown leaves the newest two snapshots (`retain=2`) and the
-# live log segment in the store.
-SNAPSHOTS="$(find "$STORE" -maxdepth 1 -name 'epoch-*.bdsnap' | wc -l)"
-SEGMENTS="$(find "$STORE" -maxdepth 1 -name 'wal-*.bdwal' | wc -l)"
-if [ "$SNAPSHOTS" -ne 2 ] || [ "$SEGMENTS" -lt 1 ]; then
-    echo "serve_smoke.sh: store holds $SNAPSHOTS snapshot(s) and $SEGMENTS" \
-        "log segment(s); want 2 and at least 1:" >&2
-    ls -l "$STORE" >&2
-    exit 1
-fi
+check_store
 
 # Restart from the same store: the second server must recover a persisted
 # epoch before serving.
 serve_and_drive --recover
+check_store
 RECOVERED="$(sed -n 's/^recovered epoch \([0-9]*\) .*/\1/p' "$SERVE_LOG")"
 if [ -z "$RECOVERED" ] || [ "$RECOVERED" -lt 1 ]; then
     echo "serve_smoke.sh: the restarted server recovered no epoch" >&2

@@ -11,7 +11,10 @@
 //! dispatched the cell.
 //!
 //! The snapshot store and the log perform every create, write, sync,
-//! rename, unlink and `set_len` through one durability layer, and
+//! rename, unlink and `set_len` through one durability layer — including
+//! the renames that retire a covered segment into the log's spare and
+//! recycle the spare as the next segment, and the `set_len` that trims a
+//! recycled segment at its seal — and
 //! `bd_stream::fault` crashes it at operation `k` (optionally tearing a
 //! write early or late). These suites record a persisted multi-epoch run's
 //! operations, crash the same run at each of them under both policies,
@@ -140,14 +143,20 @@ struct Outcome {
 }
 
 impl Sweep {
-    /// The sweep for one family, with its uninterrupted reference run (no
-    /// store: the log only opens when persistence is attached, and neither
-    /// `wal=` nor `retain=` is part of the dispatch geometry, so one
-    /// reference serves both policies).
+    /// The sweep for one family over three equal epochs.
     fn new(info: &FamilyInfo) -> Self {
         let s = stream(0xA1);
+        let cfg = wal_config(s.len(), threads());
+        Self::with_config(info, s, cfg)
+    }
+
+    /// The sweep for one family over `s` with service shape `cfg`, with its
+    /// uninterrupted reference run (no store: the log only opens when
+    /// persistence is attached, and neither `wal=` nor `retain=` is part of
+    /// the dispatch geometry, so one reference serves both policies).
+    fn with_config(info: &FamilyInfo, s: StreamBatch, cfg: ServiceConfig) -> Self {
         let spec = conformance_spec(info.family);
-        let cfg = wal_config(s.len(), threads()).with_retain(1);
+        let cfg = cfg.with_retain(1);
         let mut un = StreamService::start(registry(), &spec, cfg).unwrap();
         let mut snaps = un.ingest(&s.updates).unwrap();
         snaps.extend(un.finish().unwrap());
@@ -293,32 +302,50 @@ fn every_op(ops: &[DiskOp]) -> Vec<FaultPlan> {
     plans
 }
 
+/// Whether the write at `k` starts a file: a segment header, or a snapshot
+/// body, right after the file was created or renamed into place.
+fn starts_a_file(ops: &[DiskOp], k: usize) -> bool {
+    ops[k] == DiskOp::Write && k > 0 && matches!(ops[k - 1], DiskOp::Create | DiskOp::Rename)
+}
+
+/// Whether `ops` hold a recycled roll: the spare renamed to the new
+/// segment's name and its header written over it, with no file created.
+fn recycles(ops: &[DiskOp]) -> bool {
+    ops.windows(2).any(|w| w == [DiskOp::Rename, DiskOp::Write])
+}
+
 /// The points of a recorded run where family state and the log meet:
 /// before the fourth append after arming (the first after the second cut),
 /// with it torn early and late, right after it (durable, before the
 /// covering snapshot's save), inside that save, and inside the roll before
 /// it (the new segment's header torn short of its checksum).
 fn spot_checks(ops: &[DiskOp]) -> Vec<FaultPlan> {
-    let first = |kind: DiskOp| {
-        ops.iter()
-            .position(|&op| op == kind)
-            .unwrap_or_else(|| panic!("no {kind:?}: {ops:?}"))
-    };
-    // Appends are the writes that do not fill a just-created file.
+    use DiskOp::*;
+    // Appends are the writes that do not start a file.
     let appends: Vec<usize> = (0..ops.len())
-        .filter(|&k| ops[k] == DiskOp::Write && (k == 0 || ops[k - 1] != DiskOp::Create))
+        .filter(|&k| ops[k] == Write && !starts_a_file(ops, k))
         .collect();
     let append = appends[3];
     // Past the append's own fdatasync under `batch`.
-    let after = append + 1 + usize::from(ops[append + 1] == DiskOp::SyncData);
-    // The first file created after arming is the roll's new segment.
-    let header = first(DiskOp::Create) + 1;
+    let after = append + 1 + usize::from(ops[append + 1] == SyncData);
+    // Located inside the first cut after arming: its roll's new segment,
+    // created or recycled, starts with the first header write, and the
+    // snapshot save is the next created file.
+    let header = (0..ops.len())
+        .find(|&k| starts_a_file(ops, k))
+        .unwrap_or_else(|| panic!("no segment header: {ops:?}"));
+    let save = header + ops[header..].iter().position(|&op| op == Create).unwrap();
+    assert_eq!(
+        ops[save..save + 4],
+        [Create, Write, SyncAll, Rename],
+        "{ops:?}"
+    );
     [
         (append, None),
         (append, Some(Tear::Early)),
         (append, Some(Tear::Late)),
         (after, None),
-        (first(DiskOp::Rename), None),
+        (save + 3, None),
         (header, Some(Tear::Late)),
     ]
     .map(|(op, tear)| FaultPlan { op, tear })
@@ -328,22 +355,27 @@ fn spot_checks(ops: &[DiskOp]) -> Vec<FaultPlan> {
 /// The crash law at every durability operation: for `exact`
 /// (`merge_bitwise`) and `alpha_hh` (estimate-equal), under both logging
 /// policies, a persisted run crashed at each operation from arming to the
-/// end of the run — every append, roll, segment creation, snapshot save,
-/// log truncation and prune — and at each write torn early and late,
-/// recovers and ends in the uninterrupted run's state.
+/// end of the run — every append, roll, segment creation and recycling,
+/// snapshot save, log truncation and prune — and at each write torn early
+/// and late, recovers and ends in the uninterrupted run's state.
 #[test]
 fn crash_at_every_durability_op_recovers() {
     for family in [SketchFamily::Exact, SketchFamily::AlphaHh] {
         let sweep = Sweep::new(registry().info(family).unwrap());
         for policy in [WalPolicy::Batch, WalPolicy::Epoch] {
             let ops = sweep.ops(policy);
-            // The swept stretch holds cuts with every kind of step.
+            // The swept stretch holds cuts with every kind of step, and a
+            // roll into the spare the first cut retired.
             for kind in [DiskOp::Rename, DiskOp::Unlink, DiskOp::SyncAll] {
                 assert!(
                     ops.contains(&kind),
                     "{family} {policy}: no {kind:?}: {ops:?}"
                 );
             }
+            assert!(
+                recycles(&ops),
+                "{family} {policy}: no recycled roll: {ops:?}"
+            );
             for plan in every_op(&ops) {
                 if selected(plan, &ops) {
                     sweep.crash(policy, plan, &ops);
@@ -380,6 +412,28 @@ fn crash_at_every_fault_point_recovers_for_every_mergeable_family() {
         covered.len() >= 20,
         "persistable mergeable catalog shrank unexpectedly: {covered:?}"
     );
+}
+
+/// A recycled segment sealed with fewer bytes than the file it overwrote
+/// is trimmed first; a crash at that trim recovers to the uninterrupted
+/// state, under both logging policies. Three equal epochs only ever grow
+/// a recycled file, so the sweep above never trims: here the final epoch
+/// is half as long as the first, whose segment it recycles.
+#[test]
+fn crash_at_the_seal_trim_recovers() {
+    let s = stream(0xA1);
+    let cfg = wal_config(s.len(), threads()).with_epoch(2 * s.len() as u64 / 5);
+    let sweep = Sweep::with_config(registry().info(SketchFamily::Exact).unwrap(), s, cfg);
+    for policy in [WalPolicy::Batch, WalPolicy::Epoch] {
+        let ops = sweep.ops(policy);
+        let trims: Vec<usize> = (0..ops.len())
+            .filter(|&k| ops[k] == DiskOp::SetLen)
+            .collect();
+        assert_eq!(trims.len(), 1, "wal={policy}: {ops:?}");
+        for op in trims {
+            sweep.crash(policy, FaultPlan { op, tear: None }, &ops);
+        }
+    }
 }
 
 /// A failed append fails the `ingest` call that dispatched its cell,
@@ -627,9 +681,9 @@ fn retain_prunes_old_snapshots_but_never_the_newest() {
     assert_eq!(rec.replay_from(), s.len());
 }
 
-/// The log never grows without bound: every persisted cut deletes the
+/// The log never grows without bound: every persisted cut retires the
 /// sealed segments it covers, so after a clean `finish` only the live
-/// (empty) segment remains on disk.
+/// (empty) segment remains on disk, beside at most one spare.
 #[test]
 fn persisted_cuts_truncate_the_log() {
     let s = stream(0x1F);
@@ -644,7 +698,7 @@ fn persisted_cuts_truncate_the_log() {
     let segs = wal_segments(dir.store().dir()).unwrap();
     assert!(
         segs.len() <= 1,
-        "sealed segments behind durable snapshots must be deleted: {segs:?}"
+        "sealed segments behind durable snapshots must be retired: {segs:?}"
     );
     for (_, path) in &segs {
         let scan = bd_stream::read_segment(path).unwrap();
@@ -656,12 +710,54 @@ fn persisted_cuts_truncate_the_log() {
     assert_eq!(rec.replay_from(), s.len());
 }
 
+/// A cleanly finished store whose live segment was recycled holds its
+/// header and then the frames of the segment it overwrote. Recovery reads
+/// them as leftovers, not damage: it resumes at the end of the stream and
+/// cuts no file.
+#[test]
+fn recovery_reads_past_a_recycled_live_segment_cleanly() {
+    let s = stream(0x62);
+    let spec = conformance_spec(SketchFamily::Exact);
+    let cfg = wal_config(s.len(), 2);
+    let dir = TempDir::new("recycled-live");
+    let store = dir.store();
+    let mut svc = StreamService::start(registry(), &spec, cfg).unwrap();
+    svc.persist_to(store.clone()).unwrap();
+    let log = FaultInjector::recorder();
+    svc.arm_fault(Arc::clone(&log));
+    // One cell per call, so each cut's save and truncation land before the
+    // next cut's roll.
+    for call in s.updates.chunks(cfg.chunk) {
+        svc.ingest(call).unwrap();
+    }
+    svc.finish().unwrap();
+    assert!(recycles(&log.ops()), "no recycled roll: {:?}", log.ops());
+
+    let (_, live) = wal_segments(&dir.0).unwrap().pop().unwrap();
+    let raw = std::fs::read(&live).unwrap();
+    let header = 14 + u32::from_le_bytes(raw[6..10].try_into().unwrap()) as usize;
+    assert!(raw.len() > header, "the live segment holds no leftover");
+    let scan = bd_stream::read_segment(&live).unwrap();
+    assert!(scan.records.is_empty() && scan.truncation.is_none());
+
+    let seen = log.ops().len();
+    let rec = StreamService::recover(registry(), &spec, cfg, store).unwrap();
+    assert_eq!(rec.replay_from(), s.len());
+    let ops = log.ops()[seen..].to_vec();
+    assert!(
+        !ops.contains(&DiskOp::SetLen),
+        "recovery cut a file: {ops:?}"
+    );
+}
+
 /// The durability protocol, operation by operation: one cell, one cut
 /// (roll, new segment, snapshot save, log truncation, prune) and two
 /// recovery repairs, as a never-firing injector logs them under each
-/// logging policy (the table in `DESIGN.md §14`). An in-process crash
-/// cannot tell a missing `fsync`, so only this pin stops a change from
-/// adding, dropping or weakening a sync unseen.
+/// logging policy (the table in `DESIGN.md §14`). The first cut creates
+/// its new segment and retires the covered one into the spare; the second
+/// recycles the spare as its new segment. An in-process crash cannot tell
+/// a missing `fsync`, so only this pin stops a change from adding,
+/// dropping or weakening a sync unseen.
 #[test]
 fn durability_ops_keep_their_order() {
     use DiskOp::*;
@@ -698,30 +794,49 @@ fn durability_ops_keep_their_order() {
         svc.ingest(&s.updates[..chunk]).unwrap();
         assert_eq!(next(), cell, "wal={policy}: cell");
 
-        // The first cut has no older snapshot to prune; the second does.
+        // The roll seals the segment with no trim: every segment here is
+        // as long as the one it overwrites. The new segment is created, or
+        // recycled from the spare (renamed, its header written over the
+        // old one). The truncation renames the covered segment to the
+        // spare. The first cut has no older snapshot to prune; the second
+        // does.
         let roll = [vec![SyncData], pick(!batch, &[SyncDir])].concat();
-        let segment = [vec![Create, Write], pick(batch, &[SyncAll, SyncDir])].concat();
+        let durable = pick(batch, &[SyncAll, SyncDir]);
+        let created = [&[Create, Write][..], &durable].concat();
+        let recycled = [&[Rename, Write][..], &durable].concat();
         let save = vec![Create, Write, SyncAll, Rename, SyncDir];
-        let truncation = vec![Unlink, SyncDir];
+        let truncation = vec![Rename, SyncDir];
         let prune = vec![Unlink, SyncDir];
-        let cut =
-            |prune: &[DiskOp]| [&cell[..], &roll, &segment, &save, &truncation, prune].concat();
+        let cut = |segment: &[DiskOp], prune: &[DiskOp]| {
+            [&cell[..], &roll, segment, &save, &truncation, prune].concat()
+        };
         svc.ingest(&s.updates[chunk..2 * chunk]).unwrap();
-        assert_eq!(next(), cut(&[]), "wal={policy}: first cut");
+        assert_eq!(next(), cut(&created, &[]), "wal={policy}: first cut");
         svc.ingest(&s.updates[2 * chunk..3 * chunk]).unwrap();
         assert_eq!(next(), cell, "wal={policy}: cell");
         svc.ingest(&s.updates[3 * chunk..4 * chunk]).unwrap();
-        assert_eq!(next(), cut(&prune), "wal={policy}: second cut with prune");
+        assert_eq!(
+            next(),
+            cut(&recycled, &prune),
+            "wal={policy}: second cut with prune"
+        );
 
         // A crash leaves a bit-flipped final record: recovery repairs the
-        // segment in place, opens the next one, and deletes the repaired
-        // segment, which the persisted cut now covers.
+        // segment in place, opens the next one (created: a new writer
+        // never recycles a spare it finds), and retires the repaired
+        // segment, which the persisted cut now covers, into the spare.
         svc.ingest(&s.updates[4 * chunk..5 * chunk]).unwrap();
         assert_eq!(next(), cell, "wal={policy}: cell");
         drop(svc);
         let (_, live) = wal_segments(&dir.0).unwrap().pop().unwrap();
         let mut raw = std::fs::read(&live).unwrap();
-        let at = raw.len() - 6;
+        // The live segment is recycled: its one record follows the header,
+        // and the second record of the segment it overwrote, a leftover,
+        // follows that.
+        let header = 14 + u32::from_le_bytes(raw[6..10].try_into().unwrap()) as usize;
+        let record = 8 + u32::from_le_bytes(raw[header..header + 4].try_into().unwrap()) as usize;
+        assert_eq!(raw.len(), header + 2 * record, "wal={policy}: no leftover");
+        let at = header + record - 6;
         raw[at] ^= 0x20;
         std::fs::write(&live, &raw).unwrap();
         let repair = [SetLen, SyncAll, SyncDir];
@@ -729,7 +844,7 @@ fn durability_ops_keep_their_order() {
         assert_eq!(rec.replay_from(), 4 * chunk);
         assert_eq!(
             next(),
-            [&repair[..], &segment, &truncation].concat(),
+            [&repair[..], &created, &truncation].concat(),
             "wal={policy}: recovery repair"
         );
         drop(rec);
@@ -741,7 +856,7 @@ fn durability_ops_keep_their_order() {
         assert_eq!(rec.replay_from(), 4 * chunk);
         assert_eq!(
             next(),
-            [&[Unlink, SyncDir][..], &segment, &truncation].concat(),
+            [&[Unlink, SyncDir][..], &created, &truncation].concat(),
             "wal={policy}: torn final segment"
         );
     }
