@@ -913,7 +913,10 @@ fn main() {
     // its overhead is gated in-bench at 20% of the no-WAL rate; `batch`
     // promises an fsync before every dispatch cell is acknowledged, a
     // latency floor no throughput gate can waive, so its row lands
-    // ungated.
+    // ungated. Each sample persists into a store of its own, and the
+    // stores are removed only after the row is timed, so a sample times
+    // the service's work alone and not the unlinks of the previous
+    // sample's segments.
     println!("\nwal — write-ahead-log append overhead per fsync policy, tail replay\n");
     const WAL_PASSES: usize = 16;
     let wal_spec = base.with_family(SketchFamily::AlphaHh).with_seed(42);
@@ -926,15 +929,15 @@ fn main() {
         let cfg = wal_cfg.with_wal(policy);
         let dir =
             std::env::temp_dir().join(format!("bd-bench-wal-{policy}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let logged = Mutex::new(0u64);
         let m = micro::sample(
             &format!("wal/ingest_{policy}"),
             (stream.len() * WAL_PASSES) as u64,
             SAMPLES,
             WARMUP,
-            |_| {
-                let _ = std::fs::remove_dir_all(&dir);
-                let store = SnapshotStore::open(&dir).expect("scratch wal dir");
+            |s| {
+                let store = SnapshotStore::open(dir.join(s.to_string())).expect("scratch wal dir");
                 let mut svc =
                     StreamService::start(registry(), &wal_spec, cfg).expect("servable spec");
                 svc.persist_to(store).expect("attach persistence");

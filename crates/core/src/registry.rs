@@ -8,7 +8,7 @@
 //! what makes [`Registry::build_pair`] the sharding/merge hook and what the
 //! conformance suite replays.
 
-use bd_stream::registry::{self, Capabilities, FamilyInfo, Registry, SpaceInputs};
+use bd_stream::registry::{self, Capabilities, FamilyInfo, Registry};
 use bd_stream::spec::{SketchFamily, SketchSpec};
 use bd_stream::{impl_dyn_sketch, Item, NormEstimate, SupportQuery};
 
@@ -109,21 +109,11 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::Csss,
             summary: "CSSS sampled Countsketch (Figure 2, Theorem 1)",
             caps: Capabilities {
-                point: true,
-                point_batch: true,
-                mergeable: true,
                 batch_bitwise: true,
                 linear: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
-                alpha: true,
                 ..Default::default()
             },
             space: "depth × 6k cells of log(S) bits, S = c·α²/ε³",
-            type_name: std::any::type_name::<Csss>(),
         },
         |spec| {
             let params = Params::from_spec(spec);
@@ -139,21 +129,11 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::SampledVector,
             summary: "sampled frequency vector (Lemma 1 substrate)",
             caps: Capabilities {
-                point: true,
-                norm: true,
-                mergeable: true,
                 batch_bitwise: true,
                 linear: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
-                alpha: true,
                 ..Default::default()
             },
             space: "≤ 2S sampled units, S = c·α²/ε³",
-            type_name: std::any::type_name::<SampledVector>(),
         },
         |spec| {
             let params = Params::from_spec(spec);
@@ -165,24 +145,10 @@ pub fn register(reg: &mut Registry) {
         FamilyInfo {
             family: SketchFamily::AlphaHh,
             summary: "α heavy hitters, strict turnstile (Theorem 4)",
-            caps: Capabilities {
-                point: true,
-                point_batch: true,
-                norm: true,
-                // CSSS merge + exact net-counter addition + candidate union
-                // (statistical in the thinning regime, like CSSS itself).
-                mergeable: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
-                alpha: true,
-                delta: true,
-                ..Default::default()
-            },
+            // No contract. CSSS merge + exact net-counter addition + candidate
+            // union (statistical in the thinning regime, like CSSS itself).
+            caps: Capabilities::default(),
             space: "CSSS over samples: ε⁻¹·log(α/ε)-bit counters (vs log m)",
-            type_name: std::any::type_name::<AlphaHeavyHitters>(),
         },
         |spec| {
             Box::new(AlphaHeavyHitters::new_strict(
@@ -195,24 +161,10 @@ pub fn register(reg: &mut Registry) {
         FamilyInfo {
             family: SketchFamily::AlphaHhGeneral,
             summary: "α heavy hitters, general turnstile (Theorem 3)",
-            caps: Capabilities {
-                point: true,
-                point_batch: true,
-                norm: true,
-                // As the strict variant, plus the Cauchy L1 tracker's
-                // row-wise (estimate-equal) float merge.
-                mergeable: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
-                alpha: true,
-                delta: true,
-                ..Default::default()
-            },
+            // No contract. As the strict variant, plus the Cauchy L1 tracker's
+            // row-wise (estimate-equal) float merge.
+            caps: Capabilities::default(),
             space: "strict variant + an 1/8-accurate Cauchy L1 tracker",
-            type_name: std::any::type_name::<AlphaHeavyHitters>(),
         },
         |spec| {
             Box::new(AlphaHeavyHitters::new_general(
@@ -225,25 +177,13 @@ pub fn register(reg: &mut Registry) {
         FamilyInfo {
             family: SketchFamily::AlphaL1Sampler,
             summary: "α L1 sampler (Figure 3, Theorem 5)",
-            caps: Capabilities {
-                sample: true,
-                // Instance-wise CSSS merge (statistical in the thinning
-                // regime, like CSSS itself). The batch override keeps the
-                // per-update weight quantization but offers candidates only
-                // after the chunk settles (and sums thinning draws), so it
-                // is statistical, not bitwise.
-                mergeable: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
-                alpha: true,
-                delta: true,
-                ..Default::default()
-            },
+            // No contract. Instance-wise CSSS merge (statistical in the
+            // thinning regime, like CSSS itself). The batch override keeps the
+            // per-update weight quantization but offers candidates only after
+            // the chunk settles (and sums thinning draws), so it is
+            // statistical, not bitwise.
+            caps: Capabilities::default(),
             space: "ε⁻¹·ln(1/δ) instances, each a CSSS of ε' = ε³ sensitivity",
-            type_name: std::any::type_name::<AlphaL1Sampler>(),
         },
         |spec| Box::new(AlphaL1Sampler::new(spec.seed, &Params::from_spec(spec))),
     );
@@ -251,22 +191,11 @@ pub fn register(reg: &mut Registry) {
         FamilyInfo {
             family: SketchFamily::AlphaL1SamplerInstance,
             summary: "one α L1 sampler instance (Figure 3 component)",
-            caps: Capabilities {
-                sample: true,
-                // As the amplified sampler: CSSS-wise merge; statistical
-                // batch override (1/t_i memoized per chunk item, candidate
-                // offers deferred to the end of the chunk).
-                mergeable: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
-                alpha: true,
-                ..Default::default()
-            },
+            // No contract. As the amplified sampler: CSSS-wise merge;
+            // statistical batch override (1/t_i memoized per chunk item,
+            // candidate offers deferred to the end of the chunk).
+            caps: Capabilities::default(),
             space: "one CSSS + scaled-mass accumulators",
-            type_name: std::any::type_name::<AlphaL1SamplerInstance>(),
         },
         |spec| {
             Box::new(AlphaL1SamplerInstance::new(
@@ -280,17 +209,10 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::AlphaL1,
             summary: "α L1 estimator, strict turnstile (Figure 4, Theorem 6)",
             caps: Capabilities {
-                norm: true,
                 batch_bitwise: true,
                 ..Default::default()
             },
-            inputs: SpaceInputs {
-                epsilon: true,
-                alpha: true,
-                ..Default::default()
-            },
             space: "two log(s)-bit windows + a Morris register, s = c·α²/ε²",
-            type_name: std::any::type_name::<AlphaL1Estimator>(),
         },
         |spec| match spec.budget {
             // Explicit budgets round up to the power of two the interval
@@ -306,20 +228,10 @@ pub fn register(reg: &mut Registry) {
         FamilyInfo {
             family: SketchFamily::AlphaL1General,
             summary: "α L1 estimator, general turnstile (§5.2, Theorem 8)",
-            caps: Capabilities {
-                norm: true,
-                // The pre-aggregating batch path re-quantizes per collapsed
-                // weight: statistically, not bitwise, equivalent.
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                n: true,
-                epsilon: true,
-                alpha: true,
-                ..Default::default()
-            },
+            // No contract. The pre-aggregating batch path re-quantizes per
+            // collapsed weight: statistically, not bitwise, equivalent.
+            caps: Capabilities::default(),
             space: "ε⁻² rows of log(α·log n/ε)-bit sampled Cauchy counters",
-            type_name: std::any::type_name::<AlphaL1General>(),
         },
         |spec| Box::new(AlphaL1General::new(spec.seed, &Params::from_spec(spec))),
     );
@@ -328,21 +240,12 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::AlphaIp,
             summary: "one side of the α inner-product pair (Theorem 2)",
             caps: Capabilities {
-                norm: true,
                 // Level-wise window merge; exact while shard windows
                 // coincide (combined position below the interval budget).
-                mergeable: true,
                 batch_bitwise: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
-                alpha: true,
                 ..Default::default()
             },
             space: "depth × 2/ε buckets of log(α·log n/ε) bits",
-            type_name: std::any::type_name::<AlphaIpSketch>(),
         },
         |spec| {
             let params = Params::from_spec(spec);
@@ -357,22 +260,12 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::AlphaL0,
             summary: "α L0 estimator (Figure 7, Theorem 10)",
             caps: Capabilities {
-                norm: true,
                 // Level-wise merge; exact while shard windows coincide, the
                 // Theorem 10 O(ε²)-prefix approximation once they slide.
-                mergeable: true,
                 batch_bitwise: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                n: true,
-                epsilon: true,
-                alpha: true,
                 ..Default::default()
             },
             space: "a log(α/ε)-row live window of K = 1/ε² counters (vs log n rows)",
-            type_name: std::any::type_name::<AlphaL0Estimator>(),
         },
         |spec| Box::new(AlphaL0Estimator::new(spec.seed, &Params::from_spec(spec))),
     );
@@ -381,21 +274,12 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::AlphaConstL0,
             summary: "constant-factor α L0 estimator (Lemma 20)",
             caps: Capabilities {
-                norm: true,
                 // Level-wise detector merge (per-level detector seeds);
                 // exact while shard windows coincide.
-                mergeable: true,
                 batch_bitwise: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                n: true,
-                alpha: true,
                 ..Default::default()
             },
             space: "a log α-level live window of O(log log n)-bit registers",
-            type_name: std::any::type_name::<AlphaConstL0>(),
         },
         |spec| Box::new(AlphaConstL0::new(spec.seed, &Params::from_spec(spec))),
     );
@@ -404,22 +288,14 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::AlphaRoughL0,
             summary: "rough all-times L0 tracker (Corollary 2)",
             caps: Capabilities {
-                norm: true,
                 // Set-union merge of the monotone F0 tracker: a pure
                 // function of the observed identities, bitwise in every
                 // regime.
-                mergeable: true,
                 merge_bitwise: true,
                 batch_bitwise: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                n: true,
                 ..Default::default()
             },
             space: "O(log n·log log n) bits (monotone F0 tracker + offset)",
-            type_name: std::any::type_name::<AlphaRoughL0>(),
         },
         |spec| Box::new(AlphaRoughL0::new(spec.seed, spec.n)),
     );
@@ -428,18 +304,10 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::AlphaSupport,
             summary: "α support sampler, one instance (Figure 8)",
             caps: Capabilities {
-                support: true,
                 batch_bitwise: true,
                 ..Default::default()
             },
-            inputs: SpaceInputs {
-                n: true,
-                epsilon: true,
-                alpha: true,
-                ..Default::default()
-            },
             space: "(log α + log log n) live levels × Θ(k)-sparse recovery",
-            type_name: std::any::type_name::<AlphaSupportSampler>(),
         },
         |spec| {
             Box::new(AlphaSupportSampler::new(
@@ -454,18 +322,10 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::AlphaSupportSet,
             summary: "α support sampler, amplified set (Theorem 11)",
             caps: Capabilities {
-                support: true,
                 batch_bitwise: true,
                 ..Default::default()
             },
-            inputs: SpaceInputs {
-                n: true,
-                epsilon: true,
-                alpha: true,
-                delta: true,
-            },
             space: "log(1/δ) instances of the Figure 8 sampler",
-            type_name: std::any::type_name::<AlphaSupportSamplerSet>(),
         },
         |spec| {
             Box::new(AlphaSupportSamplerSet::new(
@@ -480,18 +340,10 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::AlphaL2Hh,
             summary: "α L2 heavy hitters (Appendix A)",
             caps: Capabilities {
-                point: true,
-                norm: true,
                 batch_bitwise: true,
                 ..Default::default()
             },
-            inputs: SpaceInputs {
-                epsilon: true,
-                alpha: true,
-                ..Default::default()
-            },
             space: "(2α/ε)²-wide finder table + verifier Countsketch",
-            type_name: std::any::type_name::<AlphaL2HeavyHitters>(),
         },
         |spec| {
             Box::new(AlphaL2HeavyHitters::new(

@@ -1,19 +1,21 @@
 //! Registration of the turnstile baselines into the workspace sketch
 //! registry (`bd_stream::registry`).
 //!
-//! [`register`] installs a builder and a capability descriptor for every
-//! `Sketch` implementation in this crate. Builders are pure functions of the
-//! [`SketchSpec`]: shapes derive from `(n, ε, δ)` by the formulas noted in
-//! each family's `space` string, with the spec's optional `k`/`depth`/`width`
-//! fields as the experiment-sweep overrides. All randomness derives from
-//! `spec.seed`, so equal specs build bit-identical sketches.
+//! [`register`] installs a builder and a descriptor for every `Sketch`
+//! implementation in this crate; each type's capabilities come from its
+//! [`bd_stream::impl_dyn_sketch!`] list below. Builders are pure functions
+//! of the [`SketchSpec`]: shapes derive from `(n, ε, δ)` by the formulas
+//! noted in each family's `space` string, with the spec's optional
+//! `k`/`depth`/`width` fields as the experiment-sweep overrides. All
+//! randomness derives from `spec.seed`, so equal specs build bit-identical
+//! sketches.
 //!
-//! This module also hosts the baselines' dynamic-capability wiring
-//! ([`bd_stream::impl_dyn_sketch!`]) and the few capability-trait impls that
-//! exist for the registry's sake (self-inner-product as an F2
-//! [`NormEstimate`], recovery results as [`SupportQuery`]).
+//! This module also hosts the baselines' capability lists and the few
+//! capability-trait impls that exist for the registry's sake
+//! (self-inner-product as an F2 [`NormEstimate`], recovery results as
+//! [`SupportQuery`]).
 
-use bd_stream::registry::{Capabilities, FamilyInfo, Registry, SpaceInputs};
+use bd_stream::registry::{Capabilities, FamilyInfo, Registry};
 use bd_stream::spec::{Regime, SketchFamily, SketchSpec};
 use bd_stream::{impl_dyn_sketch, Item, NormEstimate, SupportQuery};
 
@@ -134,22 +136,12 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::CountSketch,
             summary: "Countsketch point-query table (§2.1)",
             caps: Capabilities {
-                point: true,
-                point_batch: true,
-                mergeable: true,
                 merge_bitwise: true,
                 batch_bitwise: true,
                 linear: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
-                delta: true,
                 ..Default::default()
             },
             space: "depth × 48/ε cells of log(m) bits",
-            type_name: std::any::type_name::<CountSketch<i64>>(),
         },
         |spec| {
             Box::new(CountSketch::<i64>::new(
@@ -164,22 +156,12 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::CountMin,
             summary: "Count-Min point-query table (§2.2)",
             caps: Capabilities {
-                point: true,
-                point_batch: true,
-                mergeable: true,
                 merge_bitwise: true,
                 batch_bitwise: true,
                 linear: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
-                delta: true,
                 ..Default::default()
             },
             space: "ln(1/δ) × e/ε cells of log(m) bits",
-            type_name: std::any::type_name::<CountMin>(),
         },
         |spec| {
             // Each override is honoured independently; the missing
@@ -198,20 +180,12 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::Ams,
             summary: "AMS tug-of-war F2 rows (§2.2)",
             caps: Capabilities {
-                norm: true,
-                mergeable: true,
                 merge_bitwise: true,
                 batch_bitwise: true,
                 linear: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
                 ..Default::default()
             },
             space: "O(1/ε²) signed-sum rows of log(mM) bits",
-            type_name: std::any::type_name::<AmsSketch>(),
         },
         |spec| Box::new(AmsFamily::from_spec(spec).sketch()),
     );
@@ -220,20 +194,12 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::IpCountSketch,
             summary: "Countsketch inner-product table (Lemma 8)",
             caps: Capabilities {
-                norm: true,
-                mergeable: true,
                 merge_bitwise: true,
                 batch_bitwise: true,
                 linear: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
                 ..Default::default()
             },
             space: "depth × 2/ε buckets of log(m) bits",
-            type_name: std::any::type_name::<IpCountSketch>(),
         },
         |spec| Box::new(IpFamily::from_spec(spec).sketch()),
     );
@@ -242,20 +208,12 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::LogCosL1,
             summary: "log-cosine Cauchy L1 estimator (Figure 5)",
             caps: Capabilities {
-                norm: true,
                 // Rows add like MedianL1: deterministic but estimate-equal
                 // (float re-association across the shard boundary).
-                mergeable: true,
                 batch_bitwise: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
                 ..Default::default()
             },
             space: "6/ε² Cauchy rows of fixed-point log(m/ε) bits",
-            type_name: std::any::type_name::<LogCosL1>(),
         },
         |spec| match spec.depth {
             Some(main) => Box::new(LogCosL1::with_rows(spec.seed, main, 15, 4)),
@@ -267,21 +225,12 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::MedianL1,
             summary: "Indyk median-of-Cauchy L1 estimator (Fact 1)",
             caps: Capabilities {
-                norm: true,
                 // Rows add, but float addition re-associates across the
                 // shard boundary — merges are estimate-equal, not bitwise.
-                mergeable: true,
                 batch_bitwise: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
-                delta: true,
                 ..Default::default()
             },
             space: "8/ε²·ln(1/δ) Cauchy rows",
-            type_name: std::any::type_name::<MedianL1>(),
         },
         |spec| match spec.depth {
             Some(rows) => Box::new(MedianL1::with_rows(spec.seed, rows)),
@@ -293,17 +242,10 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::L0Turnstile,
             summary: "turnstile L0 estimator (Figure 6, Theorem 9)",
             caps: Capabilities {
-                norm: true,
                 batch_bitwise: true,
                 ..Default::default()
             },
-            inputs: SpaceInputs {
-                n: true,
-                epsilon: true,
-                ..Default::default()
-            },
             space: "log n levels × O(1/ε²) counters — the log n the α-variant windows away",
-            type_name: std::any::type_name::<L0Estimator>(),
         },
         |spec| Box::new(L0Estimator::new(spec.seed, spec.n, spec.epsilon)),
     );
@@ -312,16 +254,10 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::RoughL0,
             summary: "constant-factor rough L0 (Lemma 14)",
             caps: Capabilities {
-                norm: true,
                 batch_bitwise: true,
                 ..Default::default()
             },
-            inputs: SpaceInputs {
-                n: true,
-                ..Default::default()
-            },
             space: "O(log n · log log n) bits",
-            type_name: std::any::type_name::<RoughL0>(),
         },
         |spec| Box::new(RoughL0::for_universe(spec.seed, spec.n)),
     );
@@ -330,18 +266,13 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::RoughF0,
             summary: "monotone rough F0 tracker (Lemma 18)",
             caps: Capabilities {
-                norm: true,
                 // Final state is a pure function of the observed item set,
                 // so set-union merging replays a single pass exactly.
-                mergeable: true,
                 merge_bitwise: true,
                 batch_bitwise: true,
-                persist: true,
                 ..Default::default()
             },
-            inputs: SpaceInputs::default(),
             space: "O(log log n) bits of tracker state",
-            type_name: std::any::type_name::<RoughF0>(),
         },
         |spec| Box::new(RoughF0::new(spec.seed)),
     );
@@ -350,20 +281,11 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::SmallL0,
             summary: "exact L0 under an L0 ≤ k promise (Lemma 21)",
             caps: Capabilities {
-                norm: true,
-                mergeable: true,
                 merge_bitwise: true,
                 batch_bitwise: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
-                delta: true,
                 ..Default::default()
             },
             space: "reps × O(k²) occupancy bits",
-            type_name: std::any::type_name::<SmallL0>(),
         },
         |spec| {
             Box::new(SmallL0::new(
@@ -378,19 +300,11 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::SmallF0,
             summary: "exact F0 when F0 ≤ k (Lemma 19)",
             caps: Capabilities {
-                norm: true,
-                mergeable: true,
                 merge_bitwise: true,
                 batch_bitwise: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                epsilon: true,
                 ..Default::default()
             },
             space: "O(k²) hashed counters of log P bits",
-            type_name: std::any::type_name::<SmallF0>(),
         },
         |spec| Box::new(SmallF0::new(spec.seed, promise_cap(spec))),
     );
@@ -399,21 +313,12 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::SparseRecovery,
             summary: "exact s-sparse recovery (Lemma 22)",
             caps: Capabilities {
-                support: true,
-                mergeable: true,
                 merge_bitwise: true,
                 batch_bitwise: true,
                 linear: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                n: true,
-                epsilon: true,
                 ..Default::default()
             },
             space: "O(k) buckets × (count, id-check) counters",
-            type_name: std::any::type_name::<SparseRecovery>(),
         },
         |spec| {
             let s = spec
@@ -427,18 +332,10 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::L1SamplerTurnstile,
             summary: "precision-sampling L1 sampler (§4)",
             caps: Capabilities {
-                sample: true,
                 batch_bitwise: true,
                 ..Default::default()
             },
-            inputs: SpaceInputs {
-                n: true,
-                epsilon: true,
-                delta: true,
-                ..Default::default()
-            },
             space: "1/ε·ln(1/δ) instances × log n-row Countsketches",
-            type_name: std::any::type_name::<L1SamplerTurnstile>(),
         },
         |spec| {
             Box::new(L1SamplerTurnstile::new(
@@ -454,17 +351,10 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::PrecisionSampler,
             summary: "one precision-sampling instance (§4 component)",
             caps: Capabilities {
-                sample: true,
                 batch_bitwise: true,
                 ..Default::default()
             },
-            inputs: SpaceInputs {
-                n: true,
-                epsilon: true,
-                ..Default::default()
-            },
             space: "depth × 6·log(1/ε) Countsketch cells",
-            type_name: std::any::type_name::<PrecisionSamplerInstance>(),
         },
         |spec| {
             let depth = spec
@@ -483,18 +373,11 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::SupportTurnstile,
             summary: "log n-level support sampler (§7 baseline)",
             caps: Capabilities {
-                support: true,
                 batch_bitwise: true,
                 linear: true,
                 ..Default::default()
             },
-            inputs: SpaceInputs {
-                n: true,
-                epsilon: true,
-                ..Default::default()
-            },
             space: "log n levels × Θ(k)-sparse recovery — all levels always live",
-            type_name: std::any::type_name::<SupportSamplerTurnstile>(),
         },
         |spec| {
             Box::new(SupportSamplerTurnstile::new(
@@ -509,13 +392,10 @@ pub fn register(reg: &mut Registry) {
             family: SketchFamily::Morris,
             summary: "Morris approximate counter (Lemma 11)",
             caps: Capabilities {
-                norm: true,
                 batch_bitwise: true,
                 ..Default::default()
             },
-            inputs: SpaceInputs::default(),
             space: "one log log m-bit register",
-            type_name: std::any::type_name::<MorrisCounter>(),
         },
         |spec| Box::new(MorrisCounter::new(spec.seed)),
     );

@@ -83,9 +83,7 @@ pub use persist::{
     SnapshotRecord, SnapshotStore, MAX_SNAPSHOT, PERSIST_VERSION,
 };
 pub use query::{QueryEngine, QueryError, QueryView, SnapshotHandle, SnapshotHub};
-pub use registry::{
-    BuildFn, Capabilities, DynSketch, FamilyInfo, Registry, RegistryError, SpaceInputs,
-};
+pub use registry::{Capabilities, DynSketch, FamilyInfo, Registry, RegistryError};
 pub use runner::{RunReport, StreamRunner};
 pub use service::{
     EpochReport, OverflowPolicy, ServiceConfig, ServiceError, Snapshot, StreamService,

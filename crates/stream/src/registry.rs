@@ -1,15 +1,20 @@
 //! The sketch registry: one way to build every sketch.
 //!
 //! A [`Registry`] maps every [`SketchFamily`] to a builder
-//! `fn(&SketchSpec) -> Box<dyn DynSketch>` plus a [`FamilyInfo`] capability
-//! descriptor (which queries the family answers, whether it merges, which of
-//! `(n, ε, α, δ)` drive its space formula). Generic drivers — the
-//! conformance suite, the `sketchctl` CLI, benches, a future service layer —
-//! instantiate any structure by name through [`Registry::build`] /
-//! [`Registry::build_n`] / [`Registry::build_str`] and never see a
-//! concrete constructor — `build_n` is how the
-//! [`StreamService`](crate::service::StreamService) gets one
-//! identically-seeded copy per worker.
+//! `fn(&SketchSpec) -> Box<T>` plus a [`FamilyInfo`] descriptor. Generic
+//! drivers — the conformance suite, the `sketchctl` CLI, benches, the
+//! [`StreamService`](crate::service::StreamService) — instantiate any
+//! structure by name through [`Registry::build`] / [`Registry::build_n`] /
+//! [`Registry::build_str`] and never see a concrete constructor — `build_n`
+//! is how the service gets one identically-seeded copy per worker.
+//!
+//! A family is declared once. Its type states what it can answer, merge
+//! and persist in its [`impl_dyn_sketch!`](crate::impl_dyn_sketch) list,
+//! and [`Registry::register`] reads that list ([`SketchCaps::CAPS`]) and
+//! the type's name from the type the builder returns. The registration
+//! adds only what no type can know: a summary, the space formula, and the
+//! three contracts the conformance suite checks (`merge_bitwise`,
+//! `batch_bitwise`, `linear`).
 //!
 //! This crate defines the mechanism and registers its own reference sketch
 //! (the exact [`FrequencyVector`]); `bd-sketch` and `bd-core` register their
@@ -22,9 +27,7 @@
 //! [`DynSketch`] is the object-safe view a built sketch presents: ingestion
 //! via [`Sketch`], plus *optional* dynamic access to each capability trait
 //! ([`PointQuery`], [`NormEstimate`], [`SampleQuery`], [`SupportQuery`]) and
-//! type-checked dynamic merging. Defining crates wire it up with the
-//! [`impl_dyn_sketch!`](crate::impl_dyn_sketch) macro, naming exactly the
-//! capabilities the type implements.
+//! type-checked dynamic merging.
 
 use std::any::Any;
 use std::fmt;
@@ -114,7 +117,8 @@ pub trait DynSketch: Sketch + Send + Sync {
     }
 }
 
-/// Implement [`DynSketch`] for a sketch type, listing its capabilities.
+/// Implement [`DynSketch`] and [`SketchCaps`] for a sketch type, listing
+/// its capabilities.
 ///
 /// ```ignore
 /// impl_dyn_sketch!(CountSketch<i64>, point, merge);
@@ -123,11 +127,12 @@ pub trait DynSketch: Sketch + Send + Sync {
 /// ```
 ///
 /// Capabilities: `point`, `point_batch`, `norm`, `sample`, `support`,
-/// `merge`, `persist`. The listed
-/// set must match the type's actual trait impls (the registry's
-/// capability-consistency test builds each family and cross-checks). The
-/// type must also be `Clone` — the macro wires [`DynSketch::clone_dyn`],
-/// the epoch-snapshot hook, for every sketch.
+/// `merge`, `persist`. The list is the type's capability descriptor: each
+/// entry wires one dynamic view (which requires the matching trait impl)
+/// and sets its flag in [`SketchCaps::CAPS`], which
+/// [`Registry::register`] copies into the family's [`FamilyInfo::caps`].
+/// The type must also be `Clone` — the macro wires
+/// [`DynSketch::clone_dyn`], the epoch-snapshot hook, for every sketch.
 #[macro_export]
 macro_rules! impl_dyn_sketch {
     ($ty:ty $(, $cap:ident)* $(,)?) => {
@@ -143,6 +148,20 @@ macro_rules! impl_dyn_sketch {
             }
             $($crate::impl_dyn_sketch!(@cap $cap);)*
         }
+        impl $crate::registry::SketchCaps for $ty {
+            const CAPS: $crate::registry::Capabilities = {
+                let mut caps = $crate::registry::Capabilities::NONE;
+                $($crate::impl_dyn_sketch!(@flag caps $cap);)*
+                caps
+            };
+        }
+    };
+    // Every capability but `merge` is named after its flag.
+    (@flag $caps:ident merge) => {
+        $caps.mergeable = true
+    };
+    (@flag $caps:ident $cap:ident) => {
+        $caps.$cap = true
     };
     (@cap point) => {
         fn as_point(&self) -> ::std::option::Option<&dyn $crate::PointQuery> {
@@ -199,11 +218,15 @@ macro_rules! impl_dyn_sketch {
 
 /// What a family can answer, and which contracts its ingestion honours.
 ///
-/// `point`/`norm`/`sample`/`support`/`mergeable` mirror the capability
-/// traits. `batch_bitwise` asserts `update_batch` is bit-identical to the
-/// sequential loop under the family's conformance regime (false only for
-/// statistically-equivalent overrides); `linear` asserts
-/// `update(i,a); update(i,b) ≡ update(i,a+b)` under the same regime.
+/// `point`/`point_batch`/`norm`/`sample`/`support`/`mergeable`/`persist`
+/// are the type's own: [`Registry::register`] reads them from
+/// [`SketchCaps::CAPS`], and a registration cannot declare them.
+/// `merge_bitwise`, `batch_bitwise` and `linear` are contracts only the
+/// registration can state: `batch_bitwise` asserts `update_batch` is
+/// bit-identical to the sequential loop under the family's conformance
+/// regime (false only for statistically-equivalent overrides); `linear`
+/// asserts `update(i,a); update(i,b) ≡ update(i,a+b)` under the same
+/// regime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Capabilities {
     /// Answers [`PointQuery`].
@@ -220,19 +243,19 @@ pub struct Capabilities {
     pub support: bool,
     /// Implements [`Mergeable`](crate::Mergeable) (sharding hook).
     pub mergeable: bool,
-    /// Merging is deterministic: merged shards are bit-identical to the
-    /// single-pass sketch in every regime. False for sampling mergers
-    /// (CSSS, the sampled vector, compounds built on them), whose
-    /// thinning-regime merges consume RNG draws; for float-row mergers
-    /// (the Cauchy L1 trackers), which re-associate addition across the
-    /// shard boundary; and for the windowed L0 family, whose level windows
-    /// can diverge between shards in large-universe regimes. The
-    /// estimate-equal contract these families satisfy instead is spelled
-    /// out in `DESIGN.md §7`.
+    /// Declared: merging is deterministic — merged shards are
+    /// bit-identical to the single-pass sketch in every regime. Requires
+    /// `mergeable`. False for sampling mergers (CSSS, the sampled vector,
+    /// compounds built on them), whose thinning-regime merges consume RNG
+    /// draws; for float-row mergers (the Cauchy L1 trackers), which
+    /// re-associate addition across the shard boundary; and for the
+    /// windowed L0 family, whose level windows can diverge between shards
+    /// in large-universe regimes. The estimate-equal contract these
+    /// families satisfy instead is spelled out in `DESIGN.md §7`.
     pub merge_bitwise: bool,
-    /// `update_batch` ≡ sequential loop, bit for bit.
+    /// Declared: `update_batch` ≡ sequential loop, bit for bit.
     pub batch_bitwise: bool,
-    /// Updates compose additively per item.
+    /// Declared: updates compose additively per item.
     pub linear: bool,
     /// Implements [`SketchState`]: the mutable state round-trips through
     /// the versioned binary encoding (`save_state`/`load_state`), the
@@ -242,10 +265,34 @@ pub struct Capabilities {
     pub persist: bool,
 }
 
+impl Capabilities {
+    /// No capability and no contract.
+    pub const NONE: Capabilities = Capabilities {
+        point: false,
+        point_batch: false,
+        norm: false,
+        sample: false,
+        support: false,
+        mergeable: false,
+        merge_bitwise: false,
+        batch_bitwise: false,
+        linear: false,
+        persist: false,
+    };
+}
+
+/// The capabilities a sketch type states in its
+/// [`impl_dyn_sketch!`](crate::impl_dyn_sketch) list, which implements
+/// this trait. The contract flags are never set.
+pub trait SketchCaps: DynSketch {
+    /// The listed capabilities.
+    const CAPS: Capabilities;
+}
+
 impl fmt::Display for Capabilities {
-    /// Compact tags, e.g. `point+merge+linear`.
+    /// Compact tags, e.g. `point+merge+persist`, or `-` for none.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let tags: [(&str, bool); 6] = [
+        let tags = [
             ("point", self.point),
             ("norm", self.norm),
             ("sample", self.sample),
@@ -253,58 +300,42 @@ impl fmt::Display for Capabilities {
             ("merge", self.mergeable),
             ("persist", self.persist),
         ];
-        let mut first = true;
-        for (name, on) in tags {
-            if on {
-                if !first {
-                    f.write_str("+")?;
-                }
-                f.write_str(name)?;
-                first = false;
-            }
+        let on: Vec<&str> = tags.iter().filter(|t| t.1).map(|t| t.0).collect();
+        if on.is_empty() {
+            f.write_str("-")
+        } else {
+            f.write_str(&on.join("+"))
         }
-        if first {
-            f.write_str("-")?;
-        }
-        Ok(())
     }
 }
 
-/// Which of the spec's sizing fields the family's space formula reads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpaceInputs {
-    /// Space depends on the universe size `n`.
-    pub n: bool,
-    /// Space depends on the accuracy `ε`.
-    pub epsilon: bool,
-    /// Space depends on the deletion bound `α`.
-    pub alpha: bool,
-    /// Space depends on the failure budget `δ`.
-    pub delta: bool,
-}
-
-/// The registry's capability descriptor for one family.
+/// The registry's descriptor for one family.
 #[derive(Clone, Copy, Debug)]
 pub struct FamilyInfo {
     /// The family this entry describes.
     pub family: SketchFamily,
     /// One-line description for catalogs (`sketchctl families`, README).
     pub summary: &'static str,
-    /// Query/merge/ingestion capabilities.
+    /// Query/merge/ingestion capabilities. A registration sets only the
+    /// declared contracts; [`Registry::register`] adds the built type's
+    /// [`SketchCaps::CAPS`].
     pub caps: Capabilities,
-    /// Which sizing fields drive the space formula.
-    pub inputs: SpaceInputs,
     /// The space formula, human-readable (`"O(α²/ε³) cells of log(S) bits"`).
     pub space: &'static str,
-    /// `std::any::type_name` of the concrete type the builder returns
-    /// (drives the registry-completeness test).
-    pub type_name: &'static str,
 }
 
-/// A family builder: a pure function of the spec. Determinism contract:
-/// equal specs must produce bit-identical sketches (all randomness derives
-/// from `spec.seed`).
-pub type BuildFn = fn(&SketchSpec) -> Box<dyn DynSketch>;
+/// A family builder behind `dyn`: a pure function of the spec.
+/// Determinism contract: equal specs must produce bit-identical sketches
+/// (all randomness derives from `spec.seed`).
+type BuildFn = Box<dyn Fn(&SketchSpec) -> Box<dyn DynSketch> + Send + Sync>;
+
+/// One registered family: its descriptor, the `std::any::type_name` of
+/// the type its builder returns, and the builder.
+struct Entry {
+    info: FamilyInfo,
+    type_name: &'static str,
+    build: BuildFn,
+}
 
 /// Why a registry operation failed.
 #[derive(Clone, Debug, PartialEq)]
@@ -353,7 +384,7 @@ impl From<SpecError> for RegistryError {
 /// The family → builder catalog.
 #[derive(Default)]
 pub struct Registry {
-    entries: Vec<(FamilyInfo, BuildFn)>,
+    entries: Vec<Entry>,
 }
 
 impl Registry {
@@ -363,20 +394,56 @@ impl Registry {
         Registry::default()
     }
 
-    /// Register a family. Panics on double registration — each family has
-    /// exactly one way to be built.
-    pub fn register(&mut self, info: FamilyInfo, build: BuildFn) {
+    /// Register a family built by `build`. `info.caps` declares only the
+    /// contracts (`merge_bitwise`, `batch_bitwise`, `linear`); the
+    /// descriptor's other flags are `T`'s [`SketchCaps::CAPS`], and the
+    /// recorded type name is `T`'s.
+    ///
+    /// Panics on double registration — each family has exactly one way to
+    /// be built — on a declared flag that `T` states itself, and on
+    /// `merge_bitwise` for a `T` that does not merge.
+    pub fn register<T: SketchCaps + 'static>(
+        &mut self,
+        info: FamilyInfo,
+        build: fn(&SketchSpec) -> Box<T>,
+    ) {
+        let (family, declared) = (info.family, info.caps);
         assert!(
-            self.lookup(info.family).is_none(),
-            "family `{}` registered twice",
-            info.family
+            self.lookup(family).is_none(),
+            "family `{family}` registered twice"
         );
-        self.entries.push((info, build));
+        let stated = Capabilities {
+            merge_bitwise: false,
+            batch_bitwise: false,
+            linear: false,
+            ..declared
+        };
+        assert_eq!(
+            stated,
+            Capabilities::NONE,
+            "family `{family}` declares a flag its type states"
+        );
+        assert!(
+            T::CAPS.mergeable || !declared.merge_bitwise,
+            "family `{family}` declares merge_bitwise, but its type does not merge"
+        );
+        let caps = Capabilities {
+            merge_bitwise: declared.merge_bitwise,
+            batch_bitwise: declared.batch_bitwise,
+            linear: declared.linear,
+            ..T::CAPS
+        };
+        let type_name = std::any::type_name::<T>();
+        self.entries.push(Entry {
+            info: FamilyInfo { caps, ..info },
+            type_name,
+            build: Box::new(move |spec| build(spec)),
+        });
     }
 
     /// The registered families' descriptors, in registration order.
     pub fn families(&self) -> impl Iterator<Item = &FamilyInfo> {
-        self.entries.iter().map(|(info, _)| info)
+        self.entries.iter().map(|entry| &entry.info)
     }
 
     /// Number of registered families.
@@ -391,20 +458,31 @@ impl Registry {
 
     /// The descriptor for `family`, if registered.
     pub fn info(&self, family: SketchFamily) -> Option<&FamilyInfo> {
-        self.lookup(family).map(|(info, _)| info)
+        self.lookup(family).map(|entry| &entry.info)
     }
 
-    fn lookup(&self, family: SketchFamily) -> Option<&(FamilyInfo, BuildFn)> {
-        self.entries.iter().find(|(info, _)| info.family == family)
+    /// `std::any::type_name` of the type `family` builds, if registered
+    /// (drives the registry-completeness test).
+    pub fn type_name(&self, family: SketchFamily) -> Option<&'static str> {
+        self.lookup(family).map(|entry| entry.type_name)
+    }
+
+    fn lookup(&self, family: SketchFamily) -> Option<&Entry> {
+        self.entries.iter().find(|e| e.info.family == family)
+    }
+
+    /// The builder for a valid spec's family.
+    fn builder(&self, spec: &SketchSpec) -> Result<&BuildFn, RegistryError> {
+        spec.validate()?;
+        let entry = self
+            .lookup(spec.family)
+            .ok_or(RegistryError::Unregistered(spec.family))?;
+        Ok(&entry.build)
     }
 
     /// Build the sketch a spec describes.
     pub fn build(&self, spec: &SketchSpec) -> Result<Box<dyn DynSketch>, RegistryError> {
-        spec.validate()?;
-        let (_, build) = self
-            .lookup(spec.family)
-            .ok_or(RegistryError::Unregistered(spec.family))?;
-        Ok(build(spec))
+        Ok(self.builder(spec)?(spec))
     }
 
     /// Build `count` identically-seeded copies — the shard/merge
@@ -417,10 +495,7 @@ impl Registry {
         spec: &SketchSpec,
         count: usize,
     ) -> Result<Vec<Box<dyn DynSketch>>, RegistryError> {
-        spec.validate()?;
-        let (_, build) = self
-            .lookup(spec.family)
-            .ok_or(RegistryError::Unregistered(spec.family))?;
+        let build = self.builder(spec)?;
         Ok((0..count).map(|_| build(spec)).collect())
     }
 
@@ -448,10 +523,7 @@ impl Registry {
     /// need a structure-specific query (`AlphaHeavyHitters::query`, ...)
     /// while still constructing through the one spec path.
     pub fn build_as<S: Any>(&self, spec: &SketchSpec) -> Result<Box<S>, RegistryError> {
-        let built = self
-            .info(spec.family)
-            .map(|i| i.type_name)
-            .unwrap_or("<unregistered>");
+        let built = self.type_name(spec.family).unwrap_or("<unregistered>");
         self.build(spec)?
             .into_any()
             .downcast::<S>()
@@ -481,20 +553,12 @@ pub fn register_reference(reg: &mut Registry) {
             family: SketchFamily::Exact,
             summary: "exact frequency vector (ground truth)",
             caps: Capabilities {
-                point: true,
-                mergeable: true,
                 merge_bitwise: true,
                 batch_bitwise: true,
                 linear: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: SpaceInputs {
-                n: true,
                 ..Default::default()
             },
             space: "n counters of log(m) bits (dense ground truth)",
-            type_name: std::any::type_name::<FrequencyVector>(),
         },
         |spec| Box::new(FrequencyVector::new(spec.n)),
     );
@@ -582,32 +646,98 @@ mod tests {
         assert_eq!(p.point(7), 4.0);
     }
 
+    /// A point-only dummy: no merge, so merge_dyn takes the default
+    /// "NotMergeable" path.
+    #[derive(Clone)]
+    struct NoMerge;
+    impl crate::space::SpaceUsage for NoMerge {
+        fn space(&self) -> crate::space::SpaceReport {
+            crate::space::SpaceReport::default()
+        }
+    }
+    impl Sketch for NoMerge {
+        fn update(&mut self, _item: u64, _delta: i64) {}
+    }
+    crate::impl_dyn_sketch!(NoMerge, point);
+    impl PointQuery for NoMerge {
+        fn point(&self, _item: u64) -> f64 {
+            0.0
+        }
+    }
+
+    fn register_no_merge(caps: Capabilities) -> Registry {
+        let mut r = Registry::new();
+        r.register(
+            FamilyInfo {
+                family: SketchFamily::Morris,
+                summary: "point-only dummy",
+                caps,
+                space: "none",
+            },
+            |_| Box::new(NoMerge),
+        );
+        r
+    }
+
     #[test]
     fn non_mergeable_merge_errs() {
-        // A capability-free dummy: merge_dyn must take the default
-        // "NotMergeable" path.
-        #[derive(Clone)]
-        struct NoMerge;
-        impl crate::space::SpaceUsage for NoMerge {
-            fn space(&self) -> crate::space::SpaceReport {
-                crate::space::SpaceReport::default()
-            }
-        }
-        impl Sketch for NoMerge {
-            fn update(&mut self, _item: u64, _delta: i64) {}
-        }
-        crate::impl_dyn_sketch!(NoMerge, point);
-        impl PointQuery for NoMerge {
-            fn point(&self, _item: u64) -> f64 {
-                0.0
-            }
-        }
         let mut a = NoMerge;
         let b = NoMerge;
         assert_eq!(
             DynSketch::merge_dyn(&mut a, &b),
             Err(RegistryError::NotMergeable)
         );
+    }
+
+    #[test]
+    fn descriptors_come_from_the_built_type() {
+        let r = register_no_merge(Capabilities {
+            batch_bitwise: true,
+            ..Default::default()
+        });
+        let info = r.info(SketchFamily::Morris).unwrap();
+        assert_eq!(
+            info.caps,
+            Capabilities {
+                point: true,
+                batch_bitwise: true,
+                ..Default::default()
+            }
+        );
+        assert_eq!(
+            r.type_name(SketchFamily::Morris),
+            Some(std::any::type_name::<NoMerge>())
+        );
+        assert_eq!(
+            reg().info(SketchFamily::Exact).unwrap().caps,
+            Capabilities {
+                point: true,
+                mergeable: true,
+                merge_bitwise: true,
+                batch_bitwise: true,
+                linear: true,
+                persist: true,
+                ..Default::default()
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "declares a flag its type states")]
+    fn declaring_a_stated_flag_panics() {
+        register_no_merge(Capabilities {
+            mergeable: true,
+            ..Default::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "declares merge_bitwise, but its type does not merge")]
+    fn merge_bitwise_without_merge_panics() {
+        register_no_merge(Capabilities {
+            merge_bitwise: true,
+            ..Default::default()
+        });
     }
 
     #[test]

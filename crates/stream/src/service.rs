@@ -30,7 +30,10 @@
 //!    rounds; shape fixed by worker index) into an immutable [`Snapshot`] —
 //!    while the workers' own sketches keep ingesting the next epoch's
 //!    batches. Fold depth and per-round timing land in
-//!    [`EpochReport::merge`];
+//!    [`EpochReport::merge`]. Each cut resolves the one before it, and
+//!    only then rolls the write-ahead log, so at most one cut is ever
+//!    unresolved; [`StreamService::ingest`] resolves the last one before
+//!    it returns;
 //! 4. each resolved scheduled cut is *published*: swapped into the
 //!    service's [`SnapshotHub`] cell, so any number of reader threads
 //!    holding [`SnapshotHandle`]s ([`StreamService::handle`]) see the
@@ -536,7 +539,10 @@ pub struct StreamService {
     queue_peak: usize,
     blocked: Duration,
     epoch_start: Instant,
-    pending: Vec<PendingCut>,
+    /// The newest scheduled cut, until it is resolved. Each cut resolves
+    /// its predecessor before rolling the log, so at most one is ever
+    /// unresolved.
+    pending: Option<PendingCut>,
     /// When attached ([`StreamService::persist_to`] /
     /// [`StreamService::recover`]), every resolved scheduled cut is also
     /// written to disk, making the epoch durable.
@@ -649,7 +655,7 @@ impl StreamService {
             queue_peak: 0,
             blocked: Duration::ZERO,
             epoch_start: Instant::now(),
-            pending: Vec::new(),
+            pending: None,
             store: None,
             wal: None,
             wal_records_epoch: 0,
@@ -884,7 +890,7 @@ impl StreamService {
                 debug_assert!(self.buf.is_empty());
                 self.dispatch(updates)?;
                 if self.in_epoch as u64 >= self.config.epoch {
-                    self.cut()?;
+                    self.cut(&mut Vec::new())?;
                 }
             }
             if let Some(trunc) = reader.truncation() {
@@ -901,7 +907,7 @@ impl StreamService {
         }
         // Persist any epoch the replay re-cut (the crash lost its save),
         // republishing it to the hub on the way.
-        self.drain_pending(&mut Vec::new())?;
+        self.resolve_pending(&mut Vec::new())?;
         Ok((sealed, max_seq))
     }
 
@@ -1082,8 +1088,12 @@ impl StreamService {
     /// Cut an epoch: enqueue a snapshot command behind every worker's
     /// pending batches and freeze the accounting. The workers' clones are
     /// collected later ([`StreamService::resolve`]), so ingestion of the
-    /// next epoch proceeds while the cut is in flight.
-    fn cut(&mut self) -> Result<(), ServiceError> {
+    /// next epoch proceeds while the cut is in flight. The previous cut,
+    /// if still unresolved, is resolved into `out` first, and only then is
+    /// the log rolled: that cut's truncation leaves the spare this roll
+    /// recycles, so a call spanning many cuts creates and unlinks no
+    /// segment.
+    fn cut(&mut self, out: &mut Vec<Arc<Snapshot>>) -> Result<(), ServiceError> {
         self.epochs_cut += 1;
         let report = self.freeze_report(self.epochs_cut);
         let mut replies = Vec::with_capacity(self.senders.len());
@@ -1094,10 +1104,11 @@ impl StreamService {
             self.send_cmd(w, Cmd::Snapshot(reply_tx))?;
             replies.push(reply_rx);
         }
-        self.pending.push(PendingCut { replies, report });
+        self.resolve_pending(out)?;
+        self.pending = Some(PendingCut { replies, report });
         // Roll the log at the boundary: the sealed segment holds exactly
         // this epoch's records and becomes deletable once the cut's
-        // snapshot is durably saved (`drain_pending`).
+        // snapshot is durably saved (`resolve_pending`).
         if let Some(wal) = &mut self.wal {
             wal.roll(self.total_updates as u64)?;
         }
@@ -1127,37 +1138,38 @@ impl StreamService {
         }))
     }
 
-    /// Resolve every in-flight cut, in cut order, publishing each to the
-    /// hub as it completes (the last one resolved is the one
-    /// [`StreamService::latest`] serves) and — when a store is attached —
-    /// writing it durably to disk before it is handed to the caller.
-    fn drain_pending(&mut self, out: &mut Vec<Arc<Snapshot>>) -> Result<(), ServiceError> {
-        for cut in std::mem::take(&mut self.pending) {
-            let snap = self.resolve(cut)?;
-            if let Some(store) = &self.store {
-                // The offered stamp is the replay cursor: where the stream
-                // cursor stood at the cut. The config stamp is the geometry
-                // alone, so depth and the durability knobs may change
-                // across restarts.
-                let offered = snap.report.total_updates as u64;
-                store.save(
-                    &self.spec,
-                    &self.config.geometry_string(),
-                    &snap.report,
-                    offered,
-                    snap.sketch.as_ref(),
-                )?;
-                self.last_persisted = offered;
-                // Only now — with the covering snapshot durable — are the
-                // sealed segments up to the cut dead weight.
-                if let Some(wal) = &mut self.wal {
-                    wal.truncate_through(offered)?;
-                }
-                store.prune(self.config.retain)?;
+    /// Resolve the unresolved cut, if any, and publish it to the hub (so
+    /// [`StreamService::latest`] serves it) and — when a store is attached
+    /// — write it durably to disk before it is handed to the caller in
+    /// `out`.
+    fn resolve_pending(&mut self, out: &mut Vec<Arc<Snapshot>>) -> Result<(), ServiceError> {
+        let Some(cut) = self.pending.take() else {
+            return Ok(());
+        };
+        let snap = self.resolve(cut)?;
+        if let Some(store) = &self.store {
+            // The offered stamp is the replay cursor: where the stream
+            // cursor stood at the cut. The config stamp is the geometry
+            // alone, so depth and the durability knobs may change across
+            // restarts.
+            let offered = snap.report.total_updates as u64;
+            store.save(
+                &self.spec,
+                &self.config.geometry_string(),
+                &snap.report,
+                offered,
+                snap.sketch.as_ref(),
+            )?;
+            self.last_persisted = offered;
+            // Only now — with the covering snapshot durable — are the
+            // sealed segments up to the cut dead weight.
+            if let Some(wal) = &mut self.wal {
+                wal.truncate_through(offered)?;
             }
-            self.hub.publish(Arc::clone(&snap));
-            out.push(snap);
+            store.prune(self.config.retain)?;
         }
+        self.hub.publish(Arc::clone(&snap));
+        out.push(snap);
         Ok(())
     }
 
@@ -1191,10 +1203,10 @@ impl StreamService {
                 self.flush()?;
             }
             if take == epoch_room {
-                self.cut()?;
+                self.cut(&mut out)?;
             }
         }
-        self.drain_pending(&mut out)?;
+        self.resolve_pending(&mut out)?;
         Ok(out)
     }
 
@@ -1298,9 +1310,9 @@ impl StreamService {
     fn finish_cut(&mut self, out: &mut Vec<Arc<Snapshot>>) -> Result<(), ServiceError> {
         self.flush()?;
         if self.in_epoch > 0 {
-            self.cut()?;
+            self.cut(out)?;
         }
-        self.drain_pending(out)
+        self.resolve_pending(out)
     }
 }
 
@@ -1586,24 +1598,44 @@ mod tests {
         assert!(rep.space_bits() > 0);
     }
 
+    /// Exact frequencies without a merge: a point-only family.
+    #[derive(Clone)]
+    struct PointOnly(crate::vector::FrequencyVector);
+
+    impl crate::space::SpaceUsage for PointOnly {
+        fn space(&self) -> SpaceReport {
+            self.0.space()
+        }
+    }
+
+    impl crate::sketch::Sketch for PointOnly {
+        fn update(&mut self, item: u64, delta: i64) {
+            crate::sketch::Sketch::update(&mut self.0, item, delta);
+        }
+    }
+
+    impl crate::sketch::PointQuery for PointOnly {
+        fn point(&self, item: u64) -> f64 {
+            self.0.point(item)
+        }
+    }
+
+    crate::impl_dyn_sketch!(PointOnly, point);
+
     #[test]
     fn multi_thread_requires_mergeable() {
-        // A registry whose only family advertises no merge capability.
+        // A registry whose only family cannot merge.
         let mut r = Registry::new();
         r.register(
             crate::registry::FamilyInfo {
                 family: SketchFamily::Morris,
                 summary: "test stub",
-                caps: crate::registry::Capabilities {
-                    point: true,
-                    ..Default::default()
-                },
-                inputs: Default::default(),
+                caps: crate::registry::Capabilities::NONE,
                 space: "n/a",
-                type_name: "stub",
             },
-            |spec| Box::new(crate::vector::FrequencyVector::new(spec.n)),
+            |spec| Box::new(PointOnly(crate::vector::FrequencyVector::new(spec.n))),
         );
+        assert!(!r.info(SketchFamily::Morris).unwrap().caps.mergeable);
         let spec = SketchSpec::new(SketchFamily::Morris).with_n(64);
         let cfg = ServiceConfig::default().with_threads(4);
         assert!(matches!(

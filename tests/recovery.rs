@@ -415,20 +415,12 @@ fn panicky_registry() -> Registry {
             family: SketchFamily::Exact,
             summary: "panics on the poison item (crash-recovery test double)",
             caps: Capabilities {
-                point: true,
-                mergeable: true,
                 merge_bitwise: true,
                 batch_bitwise: true,
                 linear: true,
-                persist: true,
-                ..Default::default()
-            },
-            inputs: bd_stream::SpaceInputs {
-                n: true,
                 ..Default::default()
             },
             space: "O(n)",
-            type_name: std::any::type_name::<PanickySketch>(),
         },
         |spec| Box::new(PanickySketch(FrequencyVector::new(spec.n))),
     );

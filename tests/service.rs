@@ -16,8 +16,7 @@
 mod common;
 
 use bd_stream::{
-    merge_tree, Capabilities, FamilyInfo, RegistryError, ServiceConfig, Snapshot, SpaceInputs,
-    StreamService,
+    merge_tree, Capabilities, FamilyInfo, RegistryError, ServiceConfig, Snapshot, StreamService,
 };
 use bounded_deletions::prelude::*;
 use common::{assert_probes_match, conformance_spec, probe, stream};
@@ -459,19 +458,12 @@ fn panicky_registry() -> Registry {
             family: SketchFamily::Exact,
             summary: "panics on the poison item (worker-death test double)",
             caps: Capabilities {
-                point: true,
-                mergeable: true,
                 merge_bitwise: true,
                 batch_bitwise: true,
                 linear: true,
                 ..Default::default()
             },
-            inputs: SpaceInputs {
-                n: true,
-                ..Default::default()
-            },
             space: "O(n)",
-            type_name: std::any::type_name::<PanickySketch>(),
         },
         |spec| Box::new(PanickySketch(FrequencyVector::new(spec.n))),
     );

@@ -208,7 +208,9 @@ fn every_sketch_impl_in_the_workspace_is_registered() {
     let registered: BTreeSet<String> = registry()
         .families()
         .map(|info| {
-            info.type_name
+            registry()
+                .type_name(info.family)
+                .unwrap()
                 .split('<')
                 .next()
                 .unwrap()

@@ -862,6 +862,57 @@ fn durability_ops_keep_their_order() {
     }
 }
 
+/// One `ingest` call that spans several cuts resolves each cut before the
+/// next cut's roll, so the truncation that retires a segment into the
+/// spare comes before the roll that recycles it. After a warm-up that
+/// leaves a spare, under each logging policy, a call spanning four cuts
+/// recycles the spare at every roll, creates no segment and unlinks
+/// nothing (`retain=0`), and returns every cut's snapshot in cut order.
+#[test]
+fn a_call_spanning_many_cuts_recycles_every_segment() {
+    use DiskOp::*;
+    let s = stream(0x3C7);
+    let spec = conformance_spec(SketchFamily::Exact);
+    for policy in [WalPolicy::Batch, WalPolicy::Epoch] {
+        let epoch = 1024;
+        let cfg = ServiceConfig::default()
+            .with_epoch(epoch as u64)
+            .with_threads(2)
+            .with_chunk(512)
+            .with_wal(policy);
+        let dir = TempDir::new(&format!("many-cuts-{policy}"));
+        let mut svc = StreamService::start(registry(), &spec, cfg).unwrap();
+        svc.persist_to(dir.store()).unwrap();
+        // Two single-cut calls: the second leaves its covered segment as
+        // the spare.
+        svc.ingest(&s.updates[..epoch]).unwrap();
+        svc.ingest(&s.updates[epoch..2 * epoch]).unwrap();
+
+        let log = FaultInjector::recorder();
+        svc.arm_fault(Arc::clone(&log));
+        let cuts = 4;
+        let snaps = svc
+            .ingest(&s.updates[2 * epoch..(2 + cuts) * epoch])
+            .unwrap();
+        let stamps: Vec<(usize, usize)> = snaps
+            .iter()
+            .map(|sn| (sn.report.epoch, sn.report.total_updates))
+            .collect();
+        let want: Vec<(usize, usize)> = (3..3 + cuts).map(|e| (e, e * epoch)).collect();
+        assert_eq!(stamps, want, "wal={policy}: snapshots out of cut order");
+
+        let ops = log.ops();
+        let count = |kind: DiskOp| ops.iter().filter(|&&op| op == kind).count();
+        // Each cut's snapshot save creates its temporary file; nothing
+        // else is created.
+        assert_eq!(count(Create), cuts, "wal={policy}: {ops:?}");
+        assert_eq!(count(Unlink), 0, "wal={policy}: {ops:?}");
+        let recycled = ops.windows(2).filter(|w| *w == [Rename, Write]).count();
+        assert_eq!(recycled, cuts, "wal={policy}: {ops:?}");
+        svc.finish().unwrap();
+    }
+}
+
 /// A WAL segment of another format version was written by another build:
 /// recovery stops with `UnsupportedVersion` and touches no file, instead
 /// of treating the segment as a torn creation, deleting it and resuming
