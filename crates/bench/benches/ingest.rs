@@ -9,9 +9,9 @@
 //! and the `ingest_service` section: the same stream through the
 //! `StreamService` with 4 epoch snapshots, compared against the one-epoch
 //! row to isolate the cost of epoch cuts (clone + merge + report) —
-//! and the `hash` section: the batched hash engine's kernels in isolation
-//! (scalar vs chunk-at-a-time polynomial evaluation, Lemire vs modulus
-//! range reduction) —
+//! and the `hash` section: the batched hash engine in isolation (per-item
+//! Horner vs chunk-at-a-time power-form evaluation at k = 2, 4 and 6,
+//! Lemire vs modulus range reduction) —
 //! and the `persist` section: versioned snapshot encode/decode latency per
 //! family plus the `StreamService::recover` cold-start path from an on-disk
 //! `SnapshotStore` —
@@ -42,7 +42,6 @@ use bd_bench::micro::{self, Measurement};
 use bd_bench::registry;
 use bd_core::binomial::{bin_pow2, bin_pow2_halving, bin_pow2_inverts};
 use bd_core::AlphaHeavyHitters;
-use bd_hash::{simd, M61Elem};
 use bd_stream::gen::BoundedDeletionGen;
 use bd_stream::{
     merge_tree, sketch_from_bytes, sketch_to_bytes, DynSketch, QueryClient, QueryServer, QueryView,
@@ -357,8 +356,8 @@ fn main() {
         base.with_family(SketchFamily::AlphaHh),
     );
 
-    // Hash engine microsection: scalar vs chunk-at-a-time polynomial
-    // evaluation (the 4-chain interleaved Horner kernel) and the two range
+    // Hash engine microsection: per-item Horner vs chunk-at-a-time
+    // power-form evaluation (`hash_batch` and row plans) and the two range
     // reduction variants (Lemire multiply-shift vs integer modulus) on one
     // chunk of distinct items. `scripts/bench_compare.sh` asserts this
     // section exists — hot-path coverage must not silently vanish.
@@ -366,14 +365,6 @@ fn main() {
     let mut hrng = SmallRng::seed_from_u64(99);
     let hash_items: Vec<u64> = (0..4096u64).map(|_| hrng.gen()).collect();
     let h4 = bd_hash::KWiseHash::new(&mut hrng, 4, 480);
-    let rows: Vec<(bd_hash::KWiseHash, bd_hash::SignHash)> = (0..9)
-        .map(|_| {
-            (
-                bd_hash::KWiseHash::new(&mut hrng, 4, 480),
-                bd_hash::SignHash::new(&mut hrng),
-            )
-        })
-        .collect();
     let evals: Vec<u64> = hash_items.iter().map(|&x| h4.eval_field(x)).collect();
     let n_items = hash_items.len() as u64;
     let mut hash_bench = |m: Measurement| {
@@ -404,62 +395,39 @@ fn main() {
             std::hint::black_box(batch_out.last().copied());
         },
     ));
+    // Row plans at each independence the workspace builds (k = 2 for
+    // Count-Min and the turnstile support sampler, 4 for Countsketch and
+    // CSSS, 6 for the Cauchy rows): load a chunk, then evaluate 9 bucket
+    // and 9 sign rows over it in power form. One op is one item across the
+    // 9 (bucket, sign) row pairs.
     let mut plan = bd_hash::RowHashes::new();
     let (mut pb, mut ps): (Vec<u64>, Vec<bool>) = (Vec::new(), Vec::new());
-    hash_bench(micro::sample(
-        "hash/row_plan_d9_k4",
-        n_items * rows.len() as u64,
-        SAMPLES,
-        WARMUP,
-        |_| {
-            plan.load(hash_items.iter().copied());
-            pb.clear();
-            ps.clear();
-            for (h, g) in &rows {
-                plan.append_buckets(h, &mut pb);
-                plan.append_signs(g, &mut ps);
-            }
-            std::hint::black_box((pb.last().copied(), ps.last().copied()));
-        },
-    ));
-    // Per-kernel SIMD rows: the same degree-4 Horner evaluation through
-    // every kernel this machine offers (the scalar reference, and AVX2
-    // where detected), on pre-canonicalized points — isolating the
-    // field arithmetic itself. The dispatched kernel is whichever of these
-    // `active_level()` picked; the ratio against `hash/simd_scalar_eval_k4`
-    // is the measured vectorization speedup.
-    let canon_items: Vec<M61Elem> = hash_items.iter().map(|&x| M61Elem::new(x)).collect();
-    let coeffs_k4: Vec<M61Elem> = (0..4).map(|_| M61Elem::new(hrng.gen::<u64>())).collect();
-    let mut kernel_rates: Vec<(&'static str, f64)> = Vec::new();
-    for (kname, kernel) in simd::kernels() {
-        let m = micro::sample(
-            &format!("hash/simd_{kname}_eval_k4"),
-            n_items,
+    for k in [2usize, 4, 6] {
+        let rows: Vec<(bd_hash::KWiseHash, bd_hash::SignHash)> = (0..9)
+            .map(|_| {
+                (
+                    bd_hash::KWiseHash::new(&mut hrng, k, 480),
+                    bd_hash::SignHash::with_independence(&mut hrng, k),
+                )
+            })
+            .collect();
+        hash_bench(micro::sample(
+            &format!("hash/row_plan_d9_k{k}"),
+            n_items * rows.len() as u64,
             SAMPLES,
             WARMUP,
             |_| {
-                let mut acc = 0u64;
-                for eight in canon_items.chunks_exact(simd::KERNEL_WIDTH) {
-                    let x: [M61Elem; simd::KERNEL_WIDTH] = std::array::from_fn(|i| eight[i]);
-                    let out = kernel(&coeffs_k4, &x);
-                    acc = acc.wrapping_add(out[simd::KERNEL_WIDTH - 1].value());
+                plan.load(hash_items.iter().copied());
+                pb.clear();
+                ps.clear();
+                for (h, g) in &rows {
+                    plan.append_buckets(h, &mut pb);
+                    plan.append_signs(g, &mut ps);
                 }
-                std::hint::black_box(acc);
+                std::hint::black_box((pb.last().copied(), ps.last().copied()));
             },
-        );
-        kernel_rates.push((kname, m.ops_per_sec));
-        hash_bench(m);
+        ));
     }
-    let simd_speedups: Vec<String> = kernel_rates
-        .iter()
-        .skip(1)
-        .map(|(n, r)| format!("{n}={:.2}x", r / kernel_rates[0].1))
-        .collect();
-    println!(
-        "  simd kernel speedup vs scalar: {} (active = {})\n",
-        simd_speedups.join(", "),
-        simd::active_level().name()
-    );
     hash_bench(micro::sample(
         "hash/reduce_lemire",
         n_items,
@@ -594,9 +562,32 @@ fn main() {
         results.push(scalar);
         results.push(batched);
         final_handle = Some(handle);
+        engine
     };
     compare_query("countsketch", base);
     compare_query("csss", base.with_family(SketchFamily::Csss).with_k(16));
+    let hh_engine = compare_query(
+        "alpha_heavy_hitters",
+        base.with_family(SketchFamily::AlphaHh),
+    );
+    // The dense heavy-hitter scan that perfbench `serve`'s polls run: every
+    // item of the 2^16 universe through the batched point path, at a
+    // threshold of 0.1% of the stream's mass. One op is one scanned item.
+    let m_scan = micro::sample(
+        "query/alpha_heavy_hitters/heavy_hitters_scan",
+        N,
+        SAMPLES,
+        WARMUP,
+        |_| {
+            let hits = hh_engine
+                .heavy_hitters(0.001 * MASS as f64)
+                .expect("dense scan");
+            std::hint::black_box(hits.len());
+        },
+    );
+    micro::report(&m_scan);
+    println!();
+    results.push(m_scan);
     // The publication read path in isolation: one `latest()` — lock the
     // hub's mutex, bump the Arc strong count, unlock — per op.
     let handle = final_handle.expect("at least one query family ran");
@@ -1021,11 +1012,6 @@ fn main() {
             ("chunk", StreamRunner::DEFAULT_CHUNK.to_string()),
             ("shard_threads", SHARD_THREADS.to_string()),
             ("cores", cores.to_string()),
-            ("simd_level", simd::active_level().name().to_string()),
-            ("lane_width", simd::LANES.to_string()),
-            ("kernel_width", simd::KERNEL_WIDTH.to_string()),
-            ("target_features", simd::detected_features()),
-            ("simd_kernel_speedups", simd_speedups.join(",")),
             ("merge_tree_speedup", format!("{merge_speedup:.2}x")),
             ("binomial_speedups", binomial_pairs.join(",")),
             (

@@ -396,7 +396,10 @@ impl Csss {
 /// bucket and sign buffers (`[r·m + idx]`) are given: per row the scaled
 /// `2^p·g_i(j)·(a⁺ − a⁻)` of [`Csss::row_estimate`], then the median over
 /// rows. The one estimate loop of every batched path, so each stays
-/// bit-identical to [`Csss::estimate`]. `ests` is reused row scratch.
+/// bit-identical to [`Csss::estimate`]: the row's sign is applied by
+/// flipping the sign bit ([`bd_sketch::signed_f64`]), which is exactly
+/// `-raw`, zeros included, with no branch on the 50/50 sign coin. `ests` is
+/// reused row scratch.
 fn push_row_medians(
     rows: &[CsssRow],
     scale: f64,
@@ -412,8 +415,7 @@ fn push_row_medians(
         for (r, row) in rows.iter().enumerate() {
             let b = buckets[r * m + idx] as usize;
             let raw = row.pos[b] as f64 - row.neg[b] as f64;
-            let signed = if signs[r * m + idx] { raw } else { -raw };
-            ests.push(signed * scale);
+            ests.push(bd_sketch::signed_f64(raw, signs[r * m + idx]) * scale);
         }
         out.push(bd_sketch::median_f64(ests));
     }

@@ -104,15 +104,18 @@ impl AlphaHeavyHitters {
     }
 
     /// The ε-heavy-hitter set: contains every `|f_i| ≥ ε‖f‖₁`, nothing
-    /// below `(ε/2)‖f‖₁` (sorted by decreasing estimate).
+    /// below `(ε/2)‖f‖₁` (sorted by decreasing estimate). The candidates are
+    /// scored in one batched CSSS pass ([`Csss::estimate_many_shared`]),
+    /// bit-identical to a [`Csss::estimate`] per candidate.
     pub fn query(&self) -> Vec<(u64, f64)> {
         let r = self.norm_estimate();
         let thresh = 0.75 * self.epsilon * r;
-        let csss = &self.csss;
-        let mut out: Vec<(u64, f64)> = self
-            .candidates
-            .iter()
-            .map(|i| (i, csss.estimate(i)))
+        let items: Vec<u64> = self.candidates.iter().collect();
+        let mut ests = Vec::with_capacity(items.len());
+        self.csss.estimate_many_shared(&items, &mut ests);
+        let mut out: Vec<(u64, f64)> = items
+            .into_iter()
+            .zip(ests)
             .filter(|&(_, e)| e.abs() >= thresh)
             .collect();
         out.sort_by(|a, b| {
@@ -486,6 +489,47 @@ mod tests {
                     assert_eq!(batched.query(), reference.query());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn query_matches_scalar_estimates_bit_for_bit() {
+        // A thinned sketch (CSSS level ≥ 3) whose candidates carry zero
+        // estimates of both signs: the batched query must return what one
+        // scalar `Csss::estimate` per candidate returns, bits included.
+        let stream = BoundedDeletionGen::new(1 << 14, 60_000, 4.0).generate_seeded(31);
+        let mut params = Params::practical(stream.n, 0.05, 4.0);
+        params.sample_const = 0.125;
+        for strict in [true, false] {
+            let mut hh = if strict {
+                AlphaHeavyHitters::new_strict(32, &params)
+            } else {
+                AlphaHeavyHitters::new_general(32, &params)
+            };
+            StreamRunner::new().run(&mut hh, &stream);
+            assert!(hh.sampling_level() >= 3, "CSSS never thinned");
+            let thresh = 0.75 * hh.epsilon * hh.norm_estimate();
+            let mut want: Vec<(u64, f64)> = hh
+                .candidates
+                .iter()
+                .map(|i| (i, hh.csss.estimate(i)))
+                .filter(|&(_, e)| e.abs() >= thresh)
+                .collect();
+            want.sort_by(|a, b| {
+                b.1.abs()
+                    .partial_cmp(&a.1.abs())
+                    .unwrap()
+                    .then(a.0.cmp(&b.0))
+            });
+            let bits = |v: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+                v.into_iter().map(|(i, e)| (i, e.to_bits())).collect()
+            };
+            let got = hh.query();
+            assert!(
+                !got.is_empty(),
+                "strict={strict}: no heavy hitter to compare"
+            );
+            assert_eq!(bits(got), bits(want), "strict={strict}");
         }
     }
 

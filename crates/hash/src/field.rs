@@ -33,7 +33,7 @@ impl M61Elem {
     }
 
     /// Wrap a value already known to be canonical (`< 2^61 - 1`) without
-    /// re-reducing — the SIMD kernels' lane-extraction path.
+    /// re-reducing — the batch plan's stored powers.
     #[inline]
     pub(crate) fn from_canonical(x: u64) -> Self {
         debug_assert!(x < M61, "non-canonical value {x}");
@@ -68,9 +68,17 @@ impl M61Elem {
     }
 
     /// Field multiplication via one 64×64→128 multiply and Mersenne folding.
+    /// Both factors are canonical, so the product is below `2^122`: its two
+    /// 61-bit limbs sum below `2^62`, and one conditional subtract
+    /// canonicalizes (the general [`reduce_u128`] folds a third limb).
     #[inline]
     pub fn mul(self, rhs: Self) -> Self {
-        M61Elem(reduce_u128((self.0 as u128) * (rhs.0 as u128)))
+        let p = (self.0 as u128) * (rhs.0 as u128);
+        let mut r = (p as u64 & M61) + (p >> 61) as u64;
+        if r >= M61 {
+            r -= M61;
+        }
+        M61Elem(r)
     }
 
     /// Field negation.
@@ -114,50 +122,34 @@ pub fn reduce_u64(x: u64) -> u64 {
     r
 }
 
-/// Reduce a `u128` into `[0, 2^61 - 1)` by folding 61-bit limbs.
+/// Reduce a `u128` into `[0, 2^61 - 1)` by folding 61-bit limbs. Exact for
+/// every `u128`, so the batch plan's power sums reduce here once.
 #[inline]
 pub fn reduce_u128(x: u128) -> u64 {
-    // x = lo + 2^61 * hi with hi < 2^67; fold twice.
+    // x = lo + 2^61 * hi with hi < 2^67; fold twice. The three limbs sum
+    // below 2^62 + 2^6, so the sum fits a u64.
     let lo = (x & (M61 as u128)) as u64;
     let hi = x >> 61;
     let hi_lo = (hi & M61 as u128) as u64;
     let hi_hi = (hi >> 61) as u64; // < 2^6
-    let mut r = lo as u128 + hi_lo as u128 + hi_hi as u128;
-    if r >= M61 as u128 {
-        r -= M61 as u128;
+    let mut r = lo + hi_lo + hi_hi;
+    if r >= M61 {
+        r -= M61;
     }
-    if r >= M61 as u128 {
-        r -= M61 as u128;
+    if r >= M61 {
+        r -= M61;
     }
-    r as u64
+    r
 }
 
 /// Evaluate the polynomial `c\[0\] + c\[1\] x + ... + c[d] x^d` over `F_{2^61-1}`
-/// by Horner's rule. This is the inner loop of every k-wise hash.
+/// by Horner's rule: the scalar [`KWiseHash::hash`](crate::KWiseHash::hash)
+/// and the definition the batched power form is pinned to.
 #[inline]
 pub fn poly_eval(coeffs: &[M61Elem], x: M61Elem) -> M61Elem {
     let mut acc = M61Elem::ZERO;
     for &c in coeffs.iter().rev() {
         acc = acc.mul(x).add(c);
-    }
-    acc
-}
-
-/// Evaluate the polynomial at four points at once, with four independent
-/// Horner chains. The chains share coefficients but have no data dependence
-/// on each other, so the `mul → add` latency of one chain overlaps with the
-/// other three (the chunk-at-a-time ILP the batched hash engine is built on).
-/// This is also the *scalar reference kernel* of the vectorized engine: the
-/// [`simd`](crate::simd) dispatch tiers are all bit-identical to it, and
-/// `BD_SIMD=scalar` forces it end to end.
-#[inline]
-pub fn poly_eval4(coeffs: &[M61Elem], x: [M61Elem; 4]) -> [M61Elem; 4] {
-    let mut acc = [M61Elem::ZERO; 4];
-    for &c in coeffs.iter().rev() {
-        acc[0] = acc[0].mul(x[0]).add(c);
-        acc[1] = acc[1].mul(x[1]).add(c);
-        acc[2] = acc[2].mul(x[2]).add(c);
-        acc[3] = acc[3].mul(x[3]).add(c);
     }
     acc
 }
@@ -203,21 +195,6 @@ mod tests {
     fn fermat_holds_for_small_elements() {
         for v in 1..200u64 {
             assert_eq!(M61Elem::new(v).pow(M61 - 1), M61Elem::ONE);
-        }
-    }
-
-    #[test]
-    fn poly_eval4_matches_scalar() {
-        let coeffs: Vec<M61Elem> = (1..=7u64).map(|c| M61Elem::new(c * 104_729)).collect();
-        let xs = [
-            M61Elem::new(0),
-            M61Elem::new(12_345),
-            M61Elem::new(u64::MAX),
-            M61Elem::new(M61 - 1),
-        ];
-        let batch = poly_eval4(&coeffs, xs);
-        for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(batch[i], poly_eval(&coeffs, x));
         }
     }
 

@@ -8,8 +8,8 @@
 //! bias `b/2^61` is the same class as the old final-modulus bias — far below
 //! every failure probability in the paper.
 
+use crate::batch::RowHashes;
 use crate::field::{poly_eval, M61Elem, M61};
-use crate::simd;
 use rand::Rng;
 
 /// Division-free range reduction of a field value `v ∈ [0, 2^61 − 1)` into
@@ -41,12 +41,22 @@ impl KWiseHash {
     /// the identity on field values, the "raw uniform bits" configuration
     /// the L0 level hashes use).
     pub fn new<R: Rng + ?Sized>(rng: &mut R, k: usize, range: u64) -> Self {
-        assert!(k >= 1, "independence parameter k must be at least 1");
-        assert!(range >= 1, "hash range must be non-empty");
-        assert!(range <= 1 << 61, "hash range must fit the 61-bit field");
         let coeffs = (0..k)
             .map(|_| M61Elem::new(rng.gen_range(0..M61)))
             .collect();
+        Self::from_coeffs(coeffs, range)
+    }
+
+    /// The function `x ↦ c[0] + c[1]·x + … + c[k−1]·x^{k−1}` reduced into
+    /// `[0, range)`: a fixed member of the family, for tests that need
+    /// extreme coefficients. Same bounds as [`KWiseHash::new`].
+    pub fn from_coeffs(coeffs: Vec<M61Elem>, range: u64) -> Self {
+        assert!(
+            !coeffs.is_empty(),
+            "independence parameter k must be at least 1"
+        );
+        assert!(range >= 1, "hash range must be non-empty");
+        assert!(range <= 1 << 61, "hash range must fit the 61-bit field");
         KWiseHash { coeffs, range }
     }
 
@@ -74,22 +84,13 @@ impl KWiseHash {
     }
 
     /// Evaluate the hash over a whole chunk of inputs into `out` (cleared
-    /// first), [`simd::KERNEL_WIDTH`] Horner chains at a time through the
-    /// process's active vector kernel ([`simd::active_kernel`] — AVX2 where
-    /// the CPU has it, the interleaved-scalar reference otherwise, forcible
-    /// via `BD_SIMD`). Bit-identical to mapping [`KWiseHash::hash`] over
-    /// `xs` at every dispatch level.
+    /// first) through a call-local [`RowHashes`] plan, the batch engine's
+    /// power-form evaluator. Bit-identical to mapping [`KWiseHash::hash`]
+    /// over `xs`.
     pub fn hash_batch(&self, xs: &[u64], out: &mut Vec<u64>) {
-        out.clear();
-        out.reserve(xs.len());
-        let kernel = simd::active_kernel();
-        let mut chunks = xs.chunks_exact(simd::KERNEL_WIDTH);
-        for eight in &mut chunks {
-            let x: [M61Elem; simd::KERNEL_WIDTH] = std::array::from_fn(|i| M61Elem::new(eight[i]));
-            let a = kernel(&self.coeffs, &x);
-            out.extend(a.iter().map(|e| reduce_range(e.value(), self.range)));
-        }
-        out.extend(chunks.remainder().iter().map(|&x| self.hash(x)));
+        let mut plan = RowHashes::new();
+        plan.load(xs.iter().copied());
+        plan.eval_buckets(self, out);
     }
 
     /// The coefficient vector (the batch evaluation plan reads it directly).

@@ -11,11 +11,11 @@
 //!   hashes (Countsketch's `h_i`, `g_i`), with division-free (Lemire
 //!   multiply-shift) range reduction;
 //! * [`batch`] — the chunk-at-a-time evaluation engine: [`RowHashes`] plans
-//!   canonicalize a chunk once and evaluate every row's polynomial over it
-//!   through the dispatched vector kernel (the batched-ingest hot path);
-//! * [`simd`] — the vectorized field kernels: the AVX2 fast path and the
-//!   runtime dispatch (`BD_SIMD` overridable, scalar fallback always
-//!   available);
+//!   canonicalize a chunk once, keep each item's powers of `x`, and evaluate
+//!   every row's polynomial over it in power form, one reduction per row
+//!   (the batched-ingest hot path);
+//! * [`simd`] — the evaluator tier's name for run stamps (one tier:
+//!   portable scalar code);
 //! * [`prime`] — exact Miller–Rabin and random primes in `[D, D^3]`
 //!   (fingerprints of Figure 6, universe reduction of Theorem 2);
 //! * [`bits`] — `lsb`, logarithms, and bit-width accounting used by the L0
@@ -27,6 +27,8 @@
 //!
 //! All generators are seeded through [`rand::Rng`], so every structure in the
 //! workspace is reproducible from explicit seeds.
+
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod bits;
@@ -44,6 +46,5 @@ pub use field::{M61Elem, M61};
 pub use kwise::{reduce_range, KWiseHash, SignHash};
 pub use modred::{mod_streaming, mod_streaming_limbs, StreamingMod};
 pub use prime::{is_prime, random_prime_in, random_prime_window};
-pub use simd::SimdLevel;
 pub use stable::CauchyRow;
 pub use uniform::KWiseUniform;

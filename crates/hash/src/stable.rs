@@ -40,11 +40,10 @@ impl CauchyRow {
 
     /// The row's entries over a whole pre-loaded chunk, appended to `out`
     /// (positionally aligned with the plan). Bit-identical to
-    /// [`CauchyRow::entry`] per item; the polynomial evaluation rides the
-    /// plan's dispatched vector kernel (`bd_hash::simd` — AVX2 lanes where
-    /// available, scalar Horner chains otherwise), with only the `tan` map
-    /// applied per item.
-    pub fn append_entries(&self, plan: &crate::batch::RowHashes, out: &mut Vec<f64>) {
+    /// [`CauchyRow::entry`] per item; the polynomial is the plan's power
+    /// form over the chunk's shared powers, with only the `tan` map applied
+    /// per item.
+    pub fn append_entries(&self, plan: &mut crate::batch::RowHashes, out: &mut Vec<f64>) {
         let res = self.resolution;
         plan.append_mapped(&self.hash, out, |b| {
             let u = (b as f64 + 0.5) * res;

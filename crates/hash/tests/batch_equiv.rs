@@ -1,16 +1,18 @@
 //! Bit-equivalence sweep for the batched hash engine: `hash_batch` and
-//! `RowHashes` plans must agree bit-for-bit with the scalar `hash` (and
-//! `sign`) evaluations for every independence and range class the workspace
-//! uses, and the Lemire reduction must agree with its own definition
-//! (`⌊v·range/2^61⌋`) while covering the full output support.
+//! `RowHashes` plans (the power-form evaluator) must agree bit-for-bit with
+//! the scalar Horner `hash` (and `sign`) evaluations for every independence
+//! and range class the workspace uses, for extreme coefficients and for rows
+//! long enough to reduce more than once, and the Lemire reduction must agree
+//! with its own definition (`⌊v·range/2^61⌋`) while covering the full output
+//! support.
 
-use bd_hash::field::poly_eval;
-use bd_hash::{reduce_range, simd, KWiseHash, M61Elem, RowHashes, SignHash, M61};
+use bd_hash::batch::FOLD;
+use bd_hash::{reduce_range, KWiseHash, M61Elem, RowHashes, SignHash, M61};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Input sweep: small, structured, and adversarial (≥ 2^61, u64::MAX) items
-/// at lengths that exercise the 4-chain kernel's remainder handling.
+/// at eight lengths.
 fn input_sweep() -> Vec<Vec<u64>> {
     let mut rng = StdRng::seed_from_u64(0xba7c4);
     let mut base: Vec<u64> = (0..61).map(|b| 1u64 << b).collect();
@@ -24,7 +26,7 @@ fn input_sweep() -> Vec<Vec<u64>> {
 #[test]
 fn hash_batch_is_bit_identical_to_scalar() {
     let mut rng = StdRng::seed_from_u64(1);
-    for k in [1usize, 2, 4, 8] {
+    for k in [1usize, 2, 4, 6, 8] {
         for range in [1u64, 2, 13, 96, 4096, 99_991, u32::MAX as u64, 1 << 40] {
             let h = KWiseHash::new(&mut rng, k, range);
             let mut out = Vec::new();
@@ -44,7 +46,7 @@ fn row_plan_is_bit_identical_to_scalar() {
     let mut rng = StdRng::seed_from_u64(2);
     let mut plan = RowHashes::new();
     let (mut buckets, mut signs) = (Vec::new(), Vec::new());
-    for k in [1usize, 2, 4, 8] {
+    for k in [1usize, 2, 4, 6, 8] {
         for range in [1u64, 7, 480, u32::MAX as u64] {
             // A multi-row table: d rows of (bucket, sign) pairs over one plan.
             let rows: Vec<(KWiseHash, SignHash)> = (0..5)
@@ -75,14 +77,34 @@ fn row_plan_is_bit_identical_to_scalar() {
     }
 }
 
+/// The coefficient vectors the power-form sweeps run: random ones for every
+/// independence class the workspace builds and for odd `k`, the extremes
+/// (all `M61 − 1`, whose products give the largest `u128` sums, and all
+/// zero), and `k` at the fold bound (`FOLD` non-constant terms, one
+/// reduction) and past it, where a row reduces more than once.
+fn coefficient_sweep(rng: &mut StdRng) -> Vec<Vec<M61Elem>> {
+    let mut sweep: Vec<Vec<M61Elem>> = [1usize, 2, 3, 4, 5, 6, 8]
+        .into_iter()
+        .map(|k| (0..k).map(|_| M61Elem::new(rng.gen())).collect())
+        .collect();
+    for k in [2usize, 4, 6, 8, FOLD + 1, FOLD + 2, 2 * FOLD + 3] {
+        sweep.push(vec![M61Elem::new(M61 - 1); k]);
+        sweep.push(vec![M61Elem::ZERO; k]);
+    }
+    for k in [FOLD + 1, FOLD + 2, 2 * FOLD + 3] {
+        sweep.push((0..k).map(|_| M61Elem::new(rng.gen())).collect());
+    }
+    sweep
+}
+
 #[test]
-fn every_simd_kernel_matches_scalar_and_definition() {
-    // SIMD ≡ scalar ≡ definition: every kernel this machine offers (scalar,
-    // AVX2 where detected) must agree bit-for-bit with the Horner
-    // definition, for every independence class the workspace uses, with
-    // adversarial (≥ 2^61, u64::MAX) points visiting every lane position —
-    // the sweep windows slide by one, so each value crosses every `÷ 4`
-    // lane remainder of both 4-lane groups.
+fn power_form_matches_horner_definition() {
+    // Power form ≡ definition: the plan and `hash_batch` must agree
+    // bit-for-bit with Horner's rule for every coefficient vector of the
+    // sweep, on adversarial (≥ 2^61, u64::MAX) points. Range 2^61 is the
+    // identity on field values, so the outputs are the raw residues. One
+    // plan serves every row in ascending and then descending degree, so
+    // rows both raise the held powers and read a prefix of a longer table.
     let mut rng = StdRng::seed_from_u64(0x513d);
     let raw: Vec<u64> = {
         let mut v: Vec<u64> = vec![0, 1, M61 - 1, M61, M61 + 1, u64::MAX - 1, u64::MAX];
@@ -90,48 +112,59 @@ fn every_simd_kernel_matches_scalar_and_definition() {
         v.extend((0..32).map(|_| rng.gen::<u64>()));
         v
     };
-    for k in [1usize, 2, 4, 8] {
-        let coeffs: Vec<M61Elem> = (0..k).map(|_| M61Elem::new(rng.gen())).collect();
-        for w in raw.windows(simd::KERNEL_WIDTH) {
-            let x: [M61Elem; simd::KERNEL_WIDTH] = std::array::from_fn(|i| M61Elem::new(w[i]));
-            let want: [M61Elem; simd::KERNEL_WIDTH] =
-                std::array::from_fn(|i| poly_eval(&coeffs, x[i]));
-            assert_eq!(
-                simd::poly_eval8_scalar(&coeffs, &x),
-                want,
-                "scalar kernel ≠ definition, k={k}"
-            );
-            for (name, kernel) in simd::kernels() {
-                assert_eq!(kernel(&coeffs, &x), want, "kernel={name} k={k}");
-            }
+    let rows: Vec<KWiseHash> = coefficient_sweep(&mut rng)
+        .into_iter()
+        .map(|c| KWiseHash::from_coeffs(c, 1 << 61))
+        .collect();
+    let mut plan = RowHashes::new();
+    plan.load(raw.iter().copied());
+    let (mut out, mut batch) = (Vec::new(), Vec::new());
+    for h in rows.iter().chain(rows.iter().rev()) {
+        let k = h.independence();
+        plan.eval_buckets(h, &mut out);
+        h.hash_batch(&raw, &mut batch);
+        for (idx, &x) in raw.iter().enumerate() {
+            let want = h.eval_field(x);
+            assert_eq!(want, h.hash(x), "range 2^61 must be the identity");
+            assert_eq!(out[idx], want, "plan ≠ definition, k={k} x={x}");
+            assert_eq!(batch[idx], want, "hash_batch ≠ definition, k={k} x={x}");
         }
     }
+    assert_eq!(plan.len(), raw.len());
 }
 
 #[test]
-fn hash_batch_covers_every_kernel_tail_remainder() {
-    // Chunk lengths 0..=2·KERNEL_WIDTH+1 hit every `len % 8` (hence every
-    // `len % 4`) remainder, with adversarial values landing both in the
-    // vector body and in the scalar tail; ranges include 1 and
-    // non-powers-of-two.
+fn hash_batch_covers_every_chunk_length() {
+    // Chunk lengths 0..=17 with adversarial values at every position, for
+    // the random classes k ∈ {1, 2, 4, 6, 8} and the extreme and
+    // past-the-fold coefficient vectors; ranges include 1 and
+    // non-powers-of-two. The plan runs the same chunks.
     let mut rng = StdRng::seed_from_u64(0x7a11);
     let adversarial = [0u64, M61 - 1, M61, M61 + 1, u64::MAX];
-    for k in [1usize, 2, 4, 8] {
+    let mut coeffs: Vec<Vec<M61Elem>> = [1usize, 2, 4, 6, 8]
+        .into_iter()
+        .map(|k| (0..k).map(|_| M61Elem::new(rng.gen())).collect())
+        .collect();
+    coeffs.extend(coefficient_sweep(&mut rng));
+    let mut plan = RowHashes::new();
+    let (mut out, mut planned) = (Vec::new(), Vec::new());
+    for c in coeffs {
+        let k = c.len();
         for range in [1u64, 13, 99_991, 1 << 40] {
-            let h = KWiseHash::new(&mut rng, k, range);
-            let mut out = Vec::new();
-            for len in 0..=(2 * simd::KERNEL_WIDTH + 1) {
+            let h = KWiseHash::from_coeffs(c.clone(), range);
+            for len in 0..=17usize {
                 let items: Vec<u64> = (0..len)
                     .map(|i| adversarial[i % adversarial.len()].wrapping_sub(i as u64))
                     .collect();
                 h.hash_batch(&items, &mut out);
+                plan.load(items.iter().copied());
+                plan.eval_buckets(&h, &mut planned);
                 assert_eq!(out.len(), len);
+                assert_eq!(planned.len(), len);
                 for (idx, &x) in items.iter().enumerate() {
-                    assert_eq!(
-                        out[idx],
-                        h.hash(x),
-                        "k={k} range={range} len={len} idx={idx}"
-                    );
+                    let want = h.hash(x);
+                    assert_eq!(out[idx], want, "k={k} range={range} len={len} idx={idx}");
+                    assert_eq!(planned[idx], want, "plan k={k} range={range} len={len}");
                 }
             }
         }

@@ -8,7 +8,7 @@
 //! (bd-core) simulates on samples; it is also reused by the baseline L1
 //! sampler and the heavy-hitter comparisons.
 
-use crate::weight::{median_f64, Weight};
+use crate::weight::{median_f64, signed_f64, Weight};
 use bd_hash::RowHashes;
 use bd_stream::{
     BatchScratch, MaxMag, Mergeable, PointQuery, PointQueryBatch, Scratch, Sketch, SketchState,
@@ -221,7 +221,7 @@ impl<W: Weight> PointQueryBatch for CountSketch<W> {
             ests.clear();
             for r in 0..self.depth {
                 let v = self.table[r * self.width + buckets[r * m + idx] as usize].to_f64();
-                ests.push(if signs[r * m + idx] { v } else { -v });
+                ests.push(signed_f64(v, signs[r * m + idx]));
             }
             out.push(median_f64(&mut ests));
         }

@@ -62,4 +62,4 @@ pub use small_f0::{SmallF0, SmallF0Result};
 pub use small_l0::SmallL0;
 pub use sparse_recovery::{Recovery, SparseRecovery};
 pub use support_turnstile::SupportSamplerTurnstile;
-pub use weight::{median_f64, Weight};
+pub use weight::{median_f64, signed_f64, Weight};

@@ -12,7 +12,7 @@
 # vs a one-epoch StreamService at 4 workers) and the `ingest_service`
 # section (a 4-epoch StreamService), so a >20% epoch-cut regression fails
 # here. Dropped measurements are never gated by the bin, so additionally
-# assert the sharded, service, hash (including the per-kernel SIMD rows),
+# assert the sharded, service, hash (per-item and power-form evaluation),
 # merge, query (batched vs scalar point queries on a published snapshot), serve
 # (TCP round-trips under concurrent readers), service_overload (burst
 # ingestion through bounded queues, with the bounded-RSS assertion),
@@ -33,7 +33,7 @@ cp BENCH_ingest.json "$BASELINE"
 
 cargo bench -p bd-bench --bench ingest
 
-for section in '"ingest_sharded/' '"ingest_service/' '"hash/' '"hash/simd_' '"merge/' \
+for section in '"ingest_sharded/' '"ingest_service/' '"hash/' '"merge/' \
     '"query/' '"serve/' '"service_overload/' '"persist/' '"wal/' '"binomial/'; do
     if ! grep -q "$section" BENCH_ingest.json; then
         echo "bench_compare.sh: $section section missing from BENCH_ingest.json" >&2

@@ -31,7 +31,7 @@
 mod common;
 
 use bounded_deletions::prelude::*;
-use common::{assert_probes_match, conformance_spec, probe, stream, ProbeVal};
+use common::{assert_probes_match, conformance_spec, family_seed, probe, stream, ProbeVal};
 
 /// Same spec + same stream ⇒ bit-identical probes, whether driven
 /// per-update or in chunks.
@@ -504,6 +504,35 @@ fn batched_point_queries_match_scalar_bit_for_bit() {
         assert_eq!(out.len(), items.len() + 4, "{name}: batch must append");
     }
     assert!(covered >= 5, "batched-point catalog shrank: {covered}");
+
+    // The thinning regime, which the conformance stream never reaches (it
+    // leaves `alpha_hh` at CSSS level 0): a small sample constant thins the
+    // sketch to level ≥ 3 (6 with this seed), and the batch covers the
+    // whole 2^16 universe. There 27,185 of the 65,536 estimates are −0.0
+    // (the median row's counters cancel and its sign coin says −),
+    // which a sign flip written as `0.0 − x` would turn into +0.0.
+    let spec = SketchSpec::new(SketchFamily::AlphaHh)
+        .with_n(1 << 16)
+        .with_epsilon(0.1)
+        .with_alpha(4.0)
+        .with_c(0.125)
+        .with_seed(family_seed(SketchFamily::AlphaHh));
+    let mut hh = registry().build_as::<AlphaHeavyHitters>(&spec).unwrap();
+    let s = BoundedDeletionGen::new(1 << 16, 60_000, 4.0).generate_seeded(0xBB);
+    StreamRunner::new().run(&mut *hh, &s);
+    assert!(hh.sampling_level() >= 3, "alpha_hh never thinned");
+    let universe: Vec<u64> = (0..1u64 << 16).collect();
+    let mut out = Vec::new();
+    hh.point_many(&universe, &mut out);
+    let negative_zeros = out.iter().filter(|e| **e == 0.0 && e.is_sign_negative());
+    assert!(negative_zeros.count() > 0, "no −0.0 estimate to pin");
+    for (&i, &est) in universe.iter().zip(&out) {
+        assert_eq!(
+            est.to_bits(),
+            hh.point(i).to_bits(),
+            "thinned alpha_hh: batched point of {i} diverged"
+        );
+    }
 }
 
 /// `ProbeVal` is part of the shared test-helper contract; pin the kinds so
